@@ -474,10 +474,7 @@ fn follow_columnar(
         }
         reader = fresh;
         let before = index.appended_segments();
-        let m = reader.len() / period;
-        while index.appended_segments() < m {
-            index.append_from_view(reader.view(), index.appended_segments());
-        }
+        index.append_segments_from_view(reader.view(), before..reader.len() / period);
         if index.appended_segments() == before {
             continue; // grew by less than one whole segment
         }
@@ -513,11 +510,11 @@ fn follow_columnar(
 
 /// `mine --compare-incremental N`: the append-path head-to-head. Times one
 /// cold full derive over the final state, then replays the last N segments
-/// as appends — index warmed over the prefix, one timed [`rederive_dirty`]
-/// per append — and reports the median/p90 re-mine latency against the
-/// cold baseline. The final incremental state must match the cold mine
-/// exactly (alphabet-order-independent pattern+count equality) or the run
-/// fails with the audit exit code. `--bench-report NAME` writes
+/// as appends — index bulk-built over the prefix (timed as `build_us`),
+/// one timed [`rederive_dirty`] per append — and reports the median/p90
+/// re-mine latency against the cold baseline. The final incremental
+/// state must match the cold mine exactly (alphabet-order-independent
+/// pattern+count equality) or the run fails with the audit exit code. `--bench-report NAME` writes
 /// `BENCH_NAME.json` for CI gating.
 ///
 /// [`rederive_dirty`]: IncrementalVerticalIndex::rederive_dirty
@@ -566,13 +563,13 @@ fn compare_incremental(
     )?;
     let cold_us = (start.elapsed().as_micros() as u64).max(1);
 
-    // Incremental: warm the index over the first m-N segments (that derive
-    // seeds the carried baseline and is not timed), then append the last N
-    // one at a time, timing each dirty re-mine.
+    // Incremental: bulk-build the index over the first m-N segments (timed;
+    // the derive after it seeds the carried baseline and is not), then
+    // append the last N one at a time, timing each dirty re-mine.
+    let start = std::time::Instant::now();
     let mut index = IncrementalVerticalIndex::new(period, None);
-    for seg in 0..m - appends {
-        index.append_from_view(view, seg);
-    }
+    index.append_segments_from_view(view, 0..m - appends);
+    let build_us = (start.elapsed().as_micros() as u64).max(1);
     report_if_aborted(index.rederive_dirty(config), out)?;
     let mut times_us: Vec<u64> = Vec::with_capacity(appends);
     let mut last = None;
@@ -597,6 +594,11 @@ fn compare_incremental(
         last.len()
     )?;
     writeln!(out, "  cold full mine:      {cold_us} µs")?;
+    writeln!(
+        out,
+        "  bulk index build:    {build_us} µs over {} segments",
+        m - appends
+    )?;
     writeln!(
         out,
         "  incremental re-mine: median {median_us} µs, p90 {p90_us} µs"
@@ -628,6 +630,7 @@ fn compare_incremental(
                 "incremental_compare".to_owned(),
                 Json::Obj(vec![
                     ("cold_us".to_owned(), Json::from_u64(cold_us)),
+                    ("build_us".to_owned(), Json::from_u64(build_us)),
                     ("median_us".to_owned(), Json::from_u64(median_us)),
                     ("p90_us".to_owned(), Json::from_u64(p90_us)),
                     ("appends".to_owned(), Json::from_usize(appends)),

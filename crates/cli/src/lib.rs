@@ -58,6 +58,49 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     }
 }
 
+/// [`run`] writing to the process's standard output. A reader that goes
+/// away early (`ppm mine … | head`) is not a failure: once `out` itself
+/// reports a broken pipe, the I/O error that aborts the command is
+/// dropped and the run succeeds. A broken pipe anywhere else, such as a
+/// daemon socket, is still an error.
+pub fn run_to_stdout(argv: &[String], out: impl Write) -> Result<(), CliError> {
+    let mut out = PipeWatch {
+        inner: out,
+        closed: false,
+    };
+    match run(argv, &mut out) {
+        Err(CliError::Io(e)) if out.closed && e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        result => result,
+    }
+}
+
+/// A writer that remembers whether its sink reported a broken pipe.
+struct PipeWatch<W> {
+    inner: W,
+    closed: bool,
+}
+
+impl<W: Write> PipeWatch<W> {
+    fn watch<T>(&mut self, result: std::io::Result<T>) -> std::io::Result<T> {
+        if let Err(e) = &result {
+            self.closed |= e.kind() == std::io::ErrorKind::BrokenPipe;
+        }
+        result
+    }
+}
+
+impl<W: Write> Write for PipeWatch<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let result = self.inner.write(buf);
+        self.watch(result)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        let result = self.inner.flush();
+        self.watch(result)
+    }
+}
+
 /// The top-level usage text.
 pub fn usage() -> &'static str {
     "ppm — partial periodic pattern mining (Han, Dong & Yin, ICDE 1999)
@@ -202,4 +245,52 @@ mine --progress prints a segments/ETA heartbeat to stderr;
 sweep --bench-report NAME writes BENCH_NAME.json with per-phase wall
 clock, peak tree nodes, and scan counts; info --period P reports the
 Property 3.2 hit-set buffer bound for that period."
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Accepts `room` bytes, then fails every write like a pipe whose
+    /// reader exited.
+    struct ClosingPipe {
+        room: usize,
+    }
+
+    impl Write for ClosingPipe {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.room == 0 {
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|&a| a.to_owned()).collect()
+    }
+
+    #[test]
+    fn a_reader_closing_stdout_early_is_a_clean_exit() {
+        let help = argv(&["help"]);
+        let plain = run(&help, &mut ClosingPipe { room: 10 });
+        assert!(
+            matches!(&plain, Err(CliError::Io(e)) if e.kind() == std::io::ErrorKind::BrokenPipe),
+            "{plain:?}"
+        );
+        assert!(run_to_stdout(&help, ClosingPipe { room: 10 }).is_ok());
+        assert!(run_to_stdout(&help, ClosingPipe { room: 0 }).is_ok());
+    }
+
+    #[test]
+    fn other_failures_still_fail_with_a_closed_stdout() {
+        let err = run_to_stdout(&argv(&["nosuch"]), ClosingPipe { room: 0 }).unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+    }
 }

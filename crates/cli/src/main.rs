@@ -4,8 +4,7 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut stdout = std::io::stdout().lock();
-    match ppm_cli::run(&argv, &mut stdout) {
+    match ppm_cli::run_to_stdout(&argv, std::io::stdout().lock()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(err) => {
             eprintln!("ppm: {err}");

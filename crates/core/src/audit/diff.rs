@@ -45,12 +45,13 @@ fn vertical_kernel_arms(
     Ok((scalar, sharded))
 }
 
-/// The incremental engine arm: builds the sliding-window index through
-/// the same append path a live store uses, with a mid-stream re-derive
-/// (discarded) so the final derive genuinely exercises the carry/delta
-/// classification instead of full-counting everything, then re-derives
-/// the full window. Bit-identity here proves every incrementally
-/// maintained state equals a cold mine of the same window.
+/// The incremental engine arm: bulk-builds the index over the first half
+/// of the segments, re-derives (discarded) so the final derive genuinely
+/// exercises the carry/delta classification instead of full-counting
+/// everything, appends the rest one segment at a time through the
+/// feature-list path, then re-derives the full window. Bit-identity here
+/// proves both append paths, and every incrementally maintained state,
+/// equal a cold mine of the same window.
 fn incremental_arm(
     view: EncodedSeriesView<'_>,
     period: usize,
@@ -59,11 +60,15 @@ fn incremental_arm(
     use crate::vertical::incremental::IncrementalVerticalIndex;
     let m = view.len() / period;
     let mut index = IncrementalVerticalIndex::new(period, None);
-    for segment in 0..m {
-        index.append_from_view(view, segment);
-        if m >= 4 && segment + 1 == m / 2 {
-            let _ = index.rederive_dirty(config);
-        }
+    index.append_segments_from_view(view, 0..m / 2);
+    if m >= 4 {
+        let _ = index.rederive_dirty(config);
+    }
+    for segment in m / 2..m {
+        index.append_segment(
+            (segment * period..(segment + 1) * period)
+                .map(|t| view.features_at(t).collect::<Vec<_>>()),
+        );
     }
     index.rederive_dirty(config)
 }

@@ -6,9 +6,14 @@
 //! that changed in exactly one column. This module keeps the vertical
 //! bitmaps *live* instead:
 //!
-//! * [`append_segment`](IncrementalVerticalIndex::append_segment) sets one
-//!   bit per `(offset, feature)` letter present in the new segment and
-//!   bumps that letter's F1 count — no scan;
+//! * [`append_segments_from_view`](IncrementalVerticalIndex::append_segments_from_view)
+//!   adds a run of whole segments of an encoded view in one transposing
+//!   pass: each 512-segment group is scattered into per-letter
+//!   accumulators and every touched row written once, with the F1 counts
+//!   bumped by popcount — no scan, no per-occurrence hashing. Cold
+//!   builds, catch-ups and single appends all take this path;
+//!   [`append_segment`](IncrementalVerticalIndex::append_segment) is the
+//!   feature-list equivalent for sources that are not bitmap views;
 //! * [`evict_oldest`](IncrementalVerticalIndex::evict_oldest) clears the
 //!   retiring segment's column and decrements the counts — the column
 //!   store is a ring of fixed-width bitmap blocks, so eviction frees the
@@ -38,6 +43,7 @@
 //! derive.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Range;
 use std::time::Instant;
 
 use ppm_timeseries::{EncodedSeriesView, FeatureId};
@@ -49,6 +55,11 @@ use crate::scan::MineConfig;
 use crate::stats::MiningStats;
 
 use super::kernel::{count_dispatch_cached, PrefixCache, ResolvedKernel, BLOCK_WORDS};
+
+/// Column words one bulk-append group spans (64 segments each): each
+/// letter's accumulator is one 64-byte line, and each row is written as
+/// one 64-byte run per 512 segments rather than one word per 64.
+const GROUP_WORDS: usize = 8;
 
 /// Counts incremented by one level's worth of candidate classification,
 /// reported as gauges after each re-derive.
@@ -112,10 +123,12 @@ pub struct IncrementalVerticalIndex {
     evicted: usize,
     /// Word → full column snapshot (indexed by row id) taken at first
     /// mutation since the last derive. Rows interned later read as 0 —
-    /// exactly their value at the last derive.
+    /// exactly their value at the last derive — so a word that held no
+    /// live segment then (every word, before the first derive) gets an
+    /// empty snapshot.
     dirty: BTreeMap<usize, Vec<u64>>,
-    /// Rows with any bit changed since the last derive.
-    dirty_rows: HashSet<usize>,
+    /// Per row id: whether any bit changed since the last derive.
+    dirty_rows: Vec<bool>,
     /// Counts of **every** candidate counted at the last derive (frequent
     /// and infrequent), keyed by the candidate's row ids in alphabet
     /// order. Both row ids and alphabet order — sorted `(offset,
@@ -155,20 +168,19 @@ impl IncrementalVerticalIndex {
             appended: 0,
             evicted: 0,
             dirty: BTreeMap::new(),
-            dirty_rows: HashSet::new(),
+            dirty_rows: Vec::new(),
             prev_counts: HashMap::new(),
             derive_gen: 0,
             join_cache: Vec::new(),
         }
     }
 
-    /// Builds an index and appends every whole segment of `view` (later
-    /// segments evict earlier ones when they overflow `window`).
+    /// Builds an index over every whole segment of `view` in one bulk
+    /// pass (with a `window`, only the last `window` segments are placed;
+    /// the earlier ones count as appended and evicted).
     pub fn from_view(view: EncodedSeriesView<'_>, period: usize, window: Option<usize>) -> Self {
         let mut index = IncrementalVerticalIndex::new(period, window);
-        for segment in 0..view.len() / period {
-            index.append_from_view(view, segment);
-        }
+        index.append_segments_from_view(view, 0..view.len() / period);
         index
     }
 
@@ -226,14 +238,19 @@ impl IncrementalVerticalIndex {
     /// append instead of dropping them (the frequent set provably did not
     /// move as long as `min_count` itself did not).
     pub fn max_dirty_letter_count(&self) -> Option<u64> {
-        self.dirty_rows.iter().map(|&r| self.row_counts[r]).max()
+        self.dirty_rows
+            .iter()
+            .zip(&self.row_counts)
+            .filter(|&(&dirty, _)| dirty)
+            .map(|(_, &count)| count)
+            .max()
     }
 
     /// Whether `(offset, feature)` changed since the last derive.
     pub fn letter_dirty(&self, offset: usize, feature: FeatureId) -> bool {
         self.letter_ids
             .get(&(offset as u32, feature.raw()))
-            .is_some_and(|r| self.dirty_rows.contains(r))
+            .is_some_and(|&r| self.dirty_rows[r])
     }
 
     /// The ring slot of global segment `j`.
@@ -244,38 +261,63 @@ impl IncrementalVerticalIndex {
         }
     }
 
-    /// Grows the unbounded layout so column `slot` fits.
-    fn ensure_slot(&mut self, slot: usize) {
-        let need = slot / 64 + 1;
-        if need <= self.words_per_row {
+    /// Lays the matrix out for every interned letter and, unbounded, for
+    /// column `slot`. `words_per_row` doubles: one re-layout however far
+    /// the slot jumps, to the same width one-segment-at-a-time growth
+    /// reaches. A new layout starts from zeroed pages, not a fill pass.
+    fn fit_layout(&mut self, slot: usize) {
+        let (old, n) = (self.words_per_row, self.letters.len());
+        let mut wpr = old;
+        while wpr <= slot / 64 {
+            wpr *= 2;
+        }
+        if wpr == old {
+            self.rows.resize(n * wpr, 0);
             return;
         }
-        let old = self.words_per_row;
-        let new = need.max(old * 2);
-        let n = self.letters.len();
-        let mut rows = vec![0u64; n * new];
-        for r in 0..n {
-            rows[r * new..r * new + old].copy_from_slice(&self.rows[r * old..(r + 1) * old]);
+        let mut rows = vec![0u64; n * wpr];
+        for (new_row, old_row) in rows.chunks_exact_mut(wpr).zip(self.rows.chunks_exact(old)) {
+            new_row[..old].copy_from_slice(old_row);
         }
         self.rows = rows;
-        self.words_per_row = new;
+        self.words_per_row = wpr;
     }
 
     /// Snapshots column word `w` (all rows) before its first mutation
-    /// since the last derive.
+    /// since the last derive. A word that holds no live segment is all
+    /// zeros, and an untouched word still holds exactly the segments it
+    /// held at the last derive, so such a word (like every word before
+    /// the first derive, when no snapshot is ever read) gets an empty
+    /// snapshot instead of a strided read of every row.
     fn touch(&mut self, w: usize) {
         if self.dirty.contains_key(&w) {
             return;
         }
-        let wpr = self.words_per_row;
-        let snap: Vec<u64> = (0..self.letters.len())
-            .map(|r| self.rows[r * wpr + w])
-            .collect();
+        let snap = if self.derive_gen == 0 || !self.word_holds_live_segment(w) {
+            Vec::new()
+        } else {
+            let wpr = self.words_per_row;
+            (0..self.letters.len())
+                .map(|r| self.rows[r * wpr + w])
+                .collect()
+        };
         self.dirty.insert(w, snap);
     }
 
-    /// Interns `(offset, feature)` to a stable row id, creating a zeroed
-    /// row on first sight.
+    /// Whether any live segment's slot falls in column word `w`.
+    fn word_holds_live_segment(&self, w: usize) -> bool {
+        let (lo, hi) = (w * 64, w * 64 + 64);
+        let overlaps = |a: usize, b: usize| a.max(lo) < b.min(hi);
+        let start = self.slot(self.evicted);
+        let end = start + self.live_segments();
+        match self.capacity {
+            None => overlaps(start, end),
+            Some(c) => overlaps(start, end.min(c)) || (end > c && overlaps(0, end - c)),
+        }
+    }
+
+    /// Interns `(offset, feature)` to a stable row id on first sight.
+    /// The caller grows `rows` to cover the new row.
     fn intern(&mut self, offset: usize, feature: FeatureId) -> usize {
         let key = (offset as u32, feature.raw());
         if let Some(&r) = self.letter_ids.get(&key) {
@@ -284,15 +326,17 @@ impl IncrementalVerticalIndex {
         let r = self.letters.len();
         self.letter_ids.insert(key, r);
         self.letters.push((offset, feature));
-        self.rows.resize(self.rows.len() + self.words_per_row, 0);
         self.row_counts.push(0);
+        self.dirty_rows.push(false);
         r
     }
 
-    /// Appends one whole segment: one bit set per letter present, one F1
-    /// count bump each. At window capacity the oldest segment is evicted
-    /// first. Cost is proportional to the features in the segment, not to
-    /// the window.
+    /// Appends one whole segment given as per-instant feature lists (for
+    /// sources that are not bitmap views; views go through
+    /// [`append_segments_from_view`](Self::append_segments_from_view)):
+    /// one bit set per letter present, one F1 count bump each. At window
+    /// capacity the oldest segment is evicted first. Cost is proportional
+    /// to the features in the segment, not to the window.
     ///
     /// # Panics
     ///
@@ -308,7 +352,7 @@ impl IncrementalVerticalIndex {
             }
         }
         let slot = self.slot(self.appended);
-        self.ensure_slot(slot);
+        self.fit_layout(slot);
         let w = slot / 64;
         let bit = 1u64 << (slot % 64);
         self.touch(w);
@@ -317,11 +361,12 @@ impl IncrementalVerticalIndex {
             seen += 1;
             for &f in instant.as_ref() {
                 let r = self.intern(offset, f);
+                self.rows.resize(self.letters.len() * self.words_per_row, 0);
                 let cell = &mut self.rows[r * self.words_per_row + w];
                 if *cell & bit == 0 {
                     *cell |= bit;
                     self.row_counts[r] += 1;
-                    self.dirty_rows.insert(r);
+                    self.dirty_rows[r] = true;
                 }
             }
         }
@@ -335,25 +380,138 @@ impl IncrementalVerticalIndex {
     }
 
     /// Appends whole segment `segment` (0-based over `view`) of an
-    /// encoded series view.
+    /// encoded series view: the one-segment case of
+    /// [`append_segments_from_view`](Self::append_segments_from_view).
     ///
     /// # Panics
     ///
-    /// If the view does not contain that whole segment, or its width
-    /// differs from previously appended encoded segments' width only in
-    /// ways that change feature identity (widths merely pad with zeros,
-    /// so differing widths are fine).
+    /// If the view does not contain that whole segment.
     pub fn append_from_view(&mut self, view: EncodedSeriesView<'_>, segment: usize) {
-        let base = segment * self.period;
+        self.append_segments_from_view(view, segment..segment + 1);
+    }
+
+    /// Appends whole segments `segments` (0-based over `view`) in one
+    /// transposing pass, leaving the index as appending them one at a
+    /// time would, up to row-id order.
+    ///
+    /// With a window, segments the run itself would push out again are
+    /// never placed: they count as appended and evicted, and letters seen
+    /// only in them are not interned. One OR over the run finds its
+    /// letters; a letter's rank among them (a popcount over that presence
+    /// bitmap, not a hash lookup) indexes its accumulator. The placed
+    /// segments then go in groups of up to eight column words (512
+    /// segments): the group's bits are scattered into the accumulators,
+    /// and each letter writes its row's run of column words once, bumps
+    /// its F1 count by popcount and is marked dirty once. The unbounded
+    /// layout grows at most once. Emits `incremental.appends` once, with
+    /// the segment count.
+    ///
+    /// # Panics
+    ///
+    /// If the view does not contain every segment of the range.
+    pub fn append_segments_from_view(
+        &mut self,
+        view: EncodedSeriesView<'_>,
+        segments: Range<usize>,
+    ) {
+        let period = self.period;
         assert!(
-            base + self.period <= view.len(),
-            "segment {segment} not wholly contained in a view of {} instants",
+            segments.end * period <= view.len(),
+            "segments {segments:?} not wholly contained in a view of {} instants",
             view.len()
         );
-        let period = self.period;
-        self.append_segment(
-            (0..period).map(|o| view.features_at(base + o).collect::<Vec<FeatureId>>()),
-        );
+        let n = segments.len();
+        if n == 0 {
+            return;
+        }
+        let mut first = segments.start;
+        if let Some(c) = self.capacity {
+            // Past capacity the run evicts every live segment and then
+            // its own first `n - c` segments: skip those outright.
+            let skip = n.saturating_sub(c);
+            while self.live_segments() + (n - skip) > c {
+                self.evict_oldest();
+            }
+            self.appended += skip;
+            self.evicted += skip;
+            first += skip;
+        }
+
+        // The letters the run holds: per instant word of a segment, the OR
+        // over the run. They are interned in `(offset, feature)` order;
+        // `rows_from[i]` indexes the first of word `i`'s in `letter_rows`.
+        let wpi = view.words_per_instant();
+        let seg_words = period * wpi;
+        let count = segments.end - first;
+        let run = &view.words()[first * seg_words..segments.end * seg_words];
+        let segment_words = |k: usize| &run[k * seg_words..(k + 1) * seg_words];
+        let mut present = vec![0u64; seg_words];
+        for k in 0..count {
+            for (p, &x) in present.iter_mut().zip(segment_words(k)) {
+                *p |= x;
+            }
+        }
+        let mut rows_from = Vec::with_capacity(seg_words);
+        let mut letter_rows = Vec::new();
+        for (i, &word) in present.iter().enumerate() {
+            rows_from.push(letter_rows.len());
+            let mut x = word;
+            while x != 0 {
+                let feature = FeatureId::from_raw(((i % wpi) * 64) as u32 + x.trailing_zeros());
+                letter_rows.push(self.intern(i / wpi, feature));
+                x &= x - 1;
+            }
+        }
+        self.fit_layout(self.slot(self.appended + count - 1));
+
+        let wpr = self.words_per_row;
+        let ring = self.capacity.unwrap_or(usize::MAX);
+        let mut acc = vec![0u64; letter_rows.len() * GROUP_WORDS];
+        let mut placed = 0;
+        while placed < count {
+            // One group: up to GROUP_WORDS column words, the ring's end,
+            // or the run's end.
+            let slot = self.slot(self.appended);
+            let w0 = slot / 64;
+            let end = ((w0 + GROUP_WORDS) * 64)
+                .min(ring)
+                .min(slot + count - placed);
+            let (len, w1) = (end - slot, end.div_ceil(64));
+            for w in w0..w1 {
+                self.touch(w);
+            }
+            for k in 0..len {
+                let s = slot % 64 + k;
+                let (lane_word, bit) = (s / 64, 1u64 << (s % 64));
+                let segment = segment_words(placed + k);
+                for ((&word, &mask), &from) in segment.iter().zip(&present).zip(&rows_from) {
+                    let mut x = word;
+                    while x != 0 {
+                        let below = mask & ((1u64 << x.trailing_zeros()) - 1);
+                        acc[(from + below.count_ones() as usize) * GROUP_WORDS + lane_word] |= bit;
+                        x &= x - 1;
+                    }
+                }
+            }
+            let nw = w1 - w0;
+            for (lane, &r) in acc.chunks_exact_mut(GROUP_WORDS).zip(&letter_rows) {
+                let cells = &mut self.rows[r * wpr + w0..r * wpr + w1];
+                let mut added = 0;
+                for (cell, x) in cells.iter_mut().zip(&mut lane[..nw]) {
+                    debug_assert_eq!(*cell & *x, 0, "placing into an occupied slot");
+                    *cell |= *x;
+                    added += u64::from(x.count_ones());
+                    *x = 0;
+                }
+                if added > 0 {
+                    self.row_counts[r] += added;
+                    self.dirty_rows[r] = true;
+                }
+            }
+            placed += len;
+            self.appended += len;
+        }
+        ppm_observe::counter("incremental.appends", n as u64);
     }
 
     /// Evicts the oldest live segment: clears its column and decrements
@@ -375,7 +533,7 @@ impl IncrementalVerticalIndex {
             if *cell & bit != 0 {
                 *cell &= !bit;
                 self.row_counts[r] -= 1;
-                self.dirty_rows.insert(r);
+                self.dirty_rows[r] = true;
             }
         }
         self.evicted += 1;
@@ -504,7 +662,7 @@ impl IncrementalVerticalIndex {
         // from carrying a count that missed intervening mutations.
         self.prev_counts.retain(|_, e| e.gen == gen);
         self.dirty.clear();
-        self.dirty_rows.clear();
+        self.dirty_rows.fill(false);
 
         ppm_observe::gauge("incremental.carried", tally.carried);
         ppm_observe::gauge("incremental.delta_counts", tally.delta);
@@ -580,8 +738,7 @@ impl IncrementalVerticalIndex {
             for (i, cand) in candidates.chunks_exact(width).enumerate() {
                 match prev_counts.get_mut(cand) {
                     Some(e)
-                        if e.gen + 1 == gen
-                            && cand.iter().all(|&r| !dirty_rows.contains(&(r as usize))) =>
+                        if e.gen + 1 == gen && cand.iter().all(|&r| !dirty_rows[r as usize]) =>
                     {
                         e.gen = gen;
                         counts[i] = e.count;
@@ -779,9 +936,8 @@ fn join_flat(level: &[u32], k: usize) -> Vec<u32> {
     out
 }
 
-/// One-shot incremental mine of every whole segment in `view` — the
-/// seventh audit engine. Builds the index segment by segment (through the
-/// same append path a live store uses) and re-derives once at the end.
+/// One-shot incremental mine of every whole segment in `view`: one bulk
+/// build (the same path a live store's catch-up takes) and one derive.
 pub fn mine_incremental_view(
     view: EncodedSeriesView<'_>,
     period: usize,

@@ -198,12 +198,10 @@ impl Store {
     }
 
     /// Feeds `index` every whole segment the reader holds beyond what the
-    /// index has already consumed.
+    /// index has already consumed, in one bulk pass.
     pub(crate) fn catch_up(index: &mut IncrementalVerticalIndex, reader: &ColumnarReader) {
         let m = reader.len() / index.period();
-        while index.appended_segments() < m {
-            index.append_from_view(reader.view(), index.appended_segments());
-        }
+        index.append_segments_from_view(reader.view(), index.appended_segments()..m);
     }
 
     /// Runs `f` on the live incremental index for `period`, creating it

@@ -13,7 +13,7 @@ use std::thread;
 use std::time::Duration;
 
 use ppm_observe::Json;
-use ppm_serve::chaos::{ChaosConfig, ChaosProxy};
+use ppm_serve::chaos::{fault_for, ChaosConfig, ChaosFault, ChaosProxy};
 use ppm_serve::client::{normalized, Endpoint, FailoverClient, RetryPolicy};
 use ppm_serve::protocol::{read_frame, write_frame, VERSION};
 use ppm_serve::server::{Bind, BoundAddr, ServeConfig, Server};
@@ -376,12 +376,27 @@ fn hedging_races_replicas_and_answers_stay_identical() {
     let a = Daemon::start(&store, |_| {});
     let b = Daemon::start(&store, |_| {});
 
-    // A 1ms hedge threshold all but guarantees the duplicate fires; the
-    // straggler-comparison path then checks normalized byte identity on
-    // every request that both replicas answer.
+    // Replica A sits behind a proxy that holds every response for 50ms,
+    // far past the 1ms hedge threshold: the first request goes to A and
+    // must hedge to B, however fast the daemons answer. Each request
+    // opens at most one connection to A, so a seed whose schedule delays
+    // the first eight connections delays all of them.
+    let mut config = ChaosConfig {
+        seed: 0,
+        fault_percent: 100,
+        delay_ms: 50,
+    };
+    while !(0..8).all(|i| fault_for(&config, i) == ChaosFault::Delay) {
+        config.seed += 1;
+    }
+    let proxy = ChaosProxy::bind("127.0.0.1:0", &a.addr.to_string(), config).unwrap();
+    let proxy_addr = proxy.local_addr();
+    let proxy_stop = proxy.stop_handle();
+    let proxy_thread = thread::spawn(move || proxy.run().unwrap());
+
     let mut client = FailoverClient::new(
         vec![
-            Endpoint::Tcp(a.addr.to_string()),
+            Endpoint::Tcp(proxy_addr.to_string()),
             Endpoint::Tcp(b.addr.to_string()),
         ],
         RetryPolicy {
@@ -415,10 +430,12 @@ fn hedging_races_replicas_and_answers_stay_identical() {
     );
     assert!(
         client.stats().hedges >= 1,
-        "a 1ms threshold should have hedged at least once: {:?}",
+        "a 50ms replica behind a 1ms threshold must hedge: {:?}",
         client.stats()
     );
 
+    proxy_stop.store(true, Ordering::SeqCst);
+    proxy_thread.join().unwrap();
     drop(a);
     drop(b);
     std::fs::remove_file(store).ok();

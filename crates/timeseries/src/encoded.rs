@@ -196,6 +196,12 @@ impl<'a> EncodedSeriesView<'a> {
         self.words_per_instant
     }
 
+    /// Every instant's bitmap, row-major: instant `t` is words
+    /// `t · ⌈width/64⌉ ..` of the slice.
+    pub fn words(&self) -> &'a [u64] {
+        self.words
+    }
+
     /// Instant `t`'s feature bitmap (bit `f` set iff feature `f` occurs).
     ///
     /// # Panics
