@@ -48,13 +48,32 @@ grep -q '"mining_stats"' "$smoke_dir/metrics.json"
   | grep -q "hit-set bound"
 
 echo "==> verification smoke: audit, verify, quarantine, checkpoint integrity"
-# Honest runs audit clean on every engine; the cross-check diffs all seven
-# (including the forced-scalar and force-sharded vertical arms).
+# Honest runs audit clean on every engine spelling; the cross-check diffs
+# all seven arms (including the forced-scalar and force-sharded vertical
+# ones). Every input is mined as one bitmap view through one engine
+# dispatch, so a text series and its columnar twin (converted from that
+# text, so both intern the same catalog) print byte-identical output.
+./target/release/ppm convert --input "$smoke_dir/smoke.ppms" \
+  --out "$smoke_dir/verify.txt"
+./target/release/ppm convert --input "$smoke_dir/verify.txt" \
+  --out "$smoke_dir/verify.ppmc"
 for alg in hitset apriori parallel vertical; do
-  ./target/release/ppm mine --input "$smoke_dir/smoke.ppms" --period 25 \
-    --min-conf 0.6 --engine "$alg" --audit full \
-    | grep -q "audit: clean"
+  for input in verify.txt verify.ppmc; do
+    ./target/release/ppm mine --input "$smoke_dir/$input" --period 25 \
+      --min-conf 0.6 --engine "$alg" --audit full \
+      >"$smoke_dir/audit-$alg-$input.log"
+    grep -q "audit: clean" "$smoke_dir/audit-$alg-$input.log"
+  done
+  cmp "$smoke_dir/audit-$alg-verify.txt.log" "$smoke_dir/audit-$alg-verify.ppmc.log"
 done
+# A misspelled flag is a usage error (exit 2) naming the intended flag,
+# never a silent mine at the default setting.
+typo_status=0
+./target/release/ppm mine --input "$smoke_dir/verify.txt" --period 25 \
+  --min-conf 0.6 --engnie vertical --limt 2 --thraeds 4 \
+  >/dev/null 2>"$smoke_dir/typo.log" || typo_status=$?
+test "$typo_status" -eq 2
+grep -q "did you mean --engine" "$smoke_dir/typo.log"
 # An exported result file re-verifies against its series.
 ./target/release/ppm mine --input "$smoke_dir/smoke.ppms" --period 25 \
   --min-conf 0.6 --tsv >"$smoke_dir/patterns.tsv"
@@ -90,6 +109,10 @@ if ./target/release/ppm sweep --input "$smoke_dir/smoke.ppms" --from 24 --to 26 
   echo "corrupted checkpoint was accepted" >&2; exit 1
 fi
 grep -qi "checksum" "$smoke_dir/ckpt.log"
+
+echo "==> paper experiments, quick pass (crates/bench experiments binary)"
+./target/release/experiments all --quick >"$smoke_dir/experiments.log"
+grep -q "agrees" "$smoke_dir/experiments.log"
 
 echo "==> perf smoke: vertical derivation vs the tree walk (BENCH_PR4.json)"
 # Capture the committed baseline before this run overwrites it: the PR5

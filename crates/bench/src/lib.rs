@@ -3,8 +3,7 @@
 //!
 //! Each `run_*` function executes one experiment and returns structured
 //! rows; the `experiments` binary renders them in the paper's table/series
-//! shapes, and the Criterion benches reuse the same workloads for
-//! statistically sound timing. Wall-clock numbers here are single-shot
+//! shapes. Wall-clock numbers here are single-shot
 //! measurements (the paper reports single runs on a Pentium 166; we care
 //! about curve *shape*, not absolute seconds).
 
@@ -15,9 +14,9 @@ use std::time::Instant;
 
 use ppm_core::hitset::derive::CountStrategy;
 use ppm_core::multi::{mine_periods_looping, mine_periods_shared, PeriodRange};
-use ppm_core::{apriori, hit_set_bound, hitset, maximal, Algorithm, MineConfig};
+use ppm_core::{apriori, hit_set_bound, hitset, maximal, Engine, MineConfig};
 use ppm_datagen::SyntheticSpec;
-use ppm_timeseries::FeatureSeries;
+use ppm_timeseries::EncodedSeries;
 
 /// Times a closure, returning (result, seconds).
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -194,8 +193,7 @@ pub fn run_space(length: usize, period: usize, f1_counts: &[usize]) -> Vec<Space
             let data = spec.generate();
             let config = MineConfig::new(spec.recommended_min_conf()).unwrap();
             let result = hitset::mine(&data.series, period, &config).unwrap();
-            let bound =
-                hit_set_bound(result.segment_count as u64, result.alphabet.len() as u32);
+            let bound = hit_set_bound(result.segment_count as u64, result.alphabet.len() as u32);
             assert!(
                 result.stats.distinct_hits as u64 <= bound,
                 "Property 3.2 violated: {} > {bound}",
@@ -239,8 +237,11 @@ pub fn run_multiperiod(length: usize, widths: &[usize]) -> Vec<MultiPeriodRow> {
         .iter()
         .map(|&w| {
             let range = PeriodRange::new(24 - w / 2, 24 + w.div_ceil(2)).unwrap();
+            // Both arms pay for one encode of the series: shared mining
+            // packs it internally, looping mines the packed view.
             let (looped, looping_secs) = timed(|| {
-                mine_periods_looping(&data.series, range, &config, Algorithm::HitSet).unwrap()
+                let encoded = EncodedSeries::encode(&data.series);
+                mine_periods_looping(encoded.view(), range, &config, Engine::HitSet).unwrap()
             });
             let (shared, shared_secs) =
                 timed(|| mine_periods_shared(&data.series, range, &config).unwrap());
@@ -289,8 +290,7 @@ pub fn run_maximal(length: usize, max_pat_lengths: &[usize]) -> Vec<MaximalRow> 
             let spec = SyntheticSpec::figure2(length, mpl);
             let data = spec.generate();
             let config = MineConfig::new(spec.recommended_min_conf()).unwrap();
-            let (full, full_secs) =
-                timed(|| hitset::mine(&data.series, 50, &config).unwrap());
+            let (full, full_secs) = timed(|| hitset::mine(&data.series, 50, &config).unwrap());
             let (max, maxminer_secs) =
                 timed(|| maximal::mine_maximal(&data.series, 50, &config).unwrap());
             let (closed, closed_secs) =
@@ -359,11 +359,6 @@ pub fn run_derivation_ablation(lengths: &[usize]) -> Vec<DeriveRow> {
         .collect()
 }
 
-/// Convenience: generate the standard Figure 2 series once (for benches).
-pub fn figure2_series(length: usize, max_pat_length: usize) -> FeatureSeries {
-    SyntheticSpec::figure2(length, max_pat_length).generate().series
-}
-
 // ------------------------------------------------------------- Disk (E10)
 
 /// Disk-resident mining: Apriori vs hit-set when every scan is real I/O.
@@ -405,18 +400,22 @@ pub fn run_disk(length: usize, max_pat_lengths: &[usize]) -> Vec<DiskRow> {
         let file_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
 
         let mut src = FileSource::open(&path).expect("open stream file");
-        let (ap, apriori_secs) =
-            timed(|| mine_apriori_streaming(&mut src, 50, &config).unwrap());
+        let (ap, apriori_secs) = timed(|| mine_apriori_streaming(&mut src, 50, &config).unwrap());
         let apriori_scans = src.scans_performed();
 
         let mut src = FileSource::open(&path).expect("open stream file");
-        let (hs, hitset_secs) =
-            timed(|| mine_hitset_streaming(&mut src, 50, &config).unwrap());
+        let (hs, hitset_secs) = timed(|| mine_hitset_streaming(&mut src, 50, &config).unwrap());
         let hitset_scans = src.scans_performed();
 
-        assert_eq!(ap.frequent, hs.frequent, "disk algorithms disagree at MPL {mpl}");
+        assert_eq!(
+            ap.frequent, hs.frequent,
+            "disk algorithms disagree at MPL {mpl}"
+        );
         let mem = hitset::mine(&data.series, 50, &config).unwrap();
-        assert_eq!(hs.frequent, mem.frequent, "disk vs memory disagree at MPL {mpl}");
+        assert_eq!(
+            hs.frequent, mem.frequent,
+            "disk vs memory disagree at MPL {mpl}"
+        );
 
         std::fs::remove_file(&path).ok();
         rows.push(DiskRow {

@@ -3,7 +3,9 @@
 //! Grammar: the first non-flag token is the command; everything else is
 //! `--key value` pairs or boolean `--switch`es. A flag is boolean when it
 //! is followed by another flag or by nothing. Flags may appear in any
-//! order; repeated flags keep the last value.
+//! order; repeated flags keep the last value. Every command declares its
+//! flags, and [`Parsed::reject_undeclared`] turns a misspelled one into a
+//! usage error that names the nearest declared flag.
 
 use std::collections::HashMap;
 
@@ -49,6 +51,31 @@ impl Parsed {
             )));
         }
         Ok(parsed)
+    }
+
+    /// Fails with a usage error on the first flag (in name order) that
+    /// none of the `declared` lists contains, suggesting the declared flag
+    /// nearest to it by edit distance.
+    pub fn reject_undeclared(&self, declared: &[&[&str]]) -> Result<(), CliError> {
+        let declared = || declared.iter().flat_map(|list| list.iter().copied());
+        let mut undeclared: Vec<&str> = self
+            .flags
+            .keys()
+            .map(String::as_str)
+            .filter(|flag| !declared().any(|d| d == *flag))
+            .collect();
+        undeclared.sort_unstable();
+        let Some(flag) = undeclared.first() else {
+            return Ok(());
+        };
+        let hint = declared()
+            .min_by_key(|d| edit_distance(flag, d))
+            .map(|d| format!("; did you mean --{d}?"))
+            .unwrap_or_default();
+        Err(CliError::Usage(format!(
+            "unknown flag --{flag} for `ppm {}`{hint}",
+            self.command
+        )))
     }
 
     /// Whether a boolean switch is present.
@@ -104,6 +131,22 @@ impl Parsed {
                 .map(Some),
         }
     }
+}
+
+/// Levenshtein distance between two flag names.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let b: Vec<char> = b.chars().collect();
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.chars().enumerate() {
+        let mut diagonal = row[0];
+        row[0] = i + 1;
+        for (j, &cb) in b.iter().enumerate() {
+            let substitute = diagonal + usize::from(ca != cb);
+            diagonal = row[j + 1];
+            row[j + 1] = substitute.min(row[j] + 1).min(diagonal + 1);
+        }
+    }
+    row[b.len()]
 }
 
 #[cfg(test)]
@@ -182,6 +225,52 @@ mod tests {
     fn repeated_flags_keep_last() {
         let p = Parsed::parse(&argv("mine --period 3 --period 5")).unwrap();
         assert_eq!(p.required_parsed::<usize>("period").unwrap(), 5);
+    }
+
+    #[test]
+    fn declared_flags_pass() {
+        let p = Parsed::parse(&argv("mine --input x --period 3 --trace")).unwrap();
+        p.reject_undeclared(&[&["input", "period"], &["trace"]])
+            .unwrap();
+        Parsed::parse(&argv("help"))
+            .unwrap()
+            .reject_undeclared(&[])
+            .unwrap();
+    }
+
+    #[test]
+    fn undeclared_flags_name_the_nearest_declared_one() {
+        let declared: &[&[&str]] = &[&["engine", "limit", "threads"], &["trace"]];
+        let p = Parsed::parse(&argv("mine --engnie vertical --limt 2 --thraeds 4")).unwrap();
+        let err = p.reject_undeclared(declared).unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+        let msg = err.to_string();
+        // The first misspelling in name order is the one reported.
+        assert!(msg.contains("unknown flag --engnie"), "{msg}");
+        assert!(msg.contains("did you mean --engine?"), "{msg}");
+        let p = Parsed::parse(&argv("mine --thraeds 4")).unwrap();
+        let msg = p.reject_undeclared(declared).unwrap_err().to_string();
+        assert!(msg.contains("did you mean --threads?"), "{msg}");
+        let p = Parsed::parse(&argv("mine --trcae")).unwrap();
+        let msg = p.reject_undeclared(declared).unwrap_err().to_string();
+        assert!(msg.contains("did you mean --trace?"), "{msg}");
+    }
+
+    #[test]
+    fn a_command_with_no_flags_rejects_any_flag() {
+        let p = Parsed::parse(&argv("help --verbose")).unwrap();
+        let msg = p.reject_undeclared(&[]).unwrap_err().to_string();
+        assert!(msg.contains("unknown flag --verbose"), "{msg}");
+        assert!(!msg.contains("did you mean"), "{msg}");
+    }
+
+    #[test]
+    fn edit_distance_counts_single_character_edits() {
+        assert_eq!(edit_distance("engine", "engine"), 0);
+        assert_eq!(edit_distance("engnie", "engine"), 2);
+        assert_eq!(edit_distance("limt", "limit"), 1);
+        assert_eq!(edit_distance("", "abc"), 3);
+        assert_eq!(edit_distance("min-cnof", "min-conf"), 2);
     }
 
     #[test]

@@ -6,11 +6,9 @@ use ppm_core::audit::{self, AuditMode};
 use ppm_core::closed::mine_closed;
 use ppm_core::constraints::{mine_constrained, Constraints};
 use ppm_core::maximal::mine_maximal;
-use ppm_core::parallel::{mine_parallel, mine_parallel_vertical};
 use ppm_core::streaming::{mine_apriori_streaming, mine_hitset_streaming};
 use ppm_core::vertical::incremental::IncrementalVerticalIndex;
-use ppm_core::vertical::mine_vertical;
-use ppm_core::{mine, Algorithm, MineConfig, MiningResult, MiningStats, Pattern};
+use ppm_core::{Engine, MineConfig, MiningResult, MiningStats, Pattern};
 use ppm_timeseries::columnar::ColumnarReader;
 use ppm_timeseries::storage::stream::FileSource;
 use ppm_timeseries::{
@@ -19,8 +17,39 @@ use ppm_timeseries::{
     RetryingSource, SeriesBuilder, SeriesSource,
 };
 
+use super::ViewInput;
 use crate::args::Parsed;
 use crate::error::CliError;
+
+/// The flags `ppm mine` accepts besides [`super::GUARD_FLAGS`] and
+/// [`crate::obs::FLAGS`].
+pub const FLAGS: &[&str] = &[
+    "input",
+    "period",
+    "min-conf",
+    "limit",
+    "engine",
+    "algorithm",
+    "threads",
+    "stream",
+    "retries",
+    "max-letters",
+    "offsets",
+    "tsv",
+    "maximal",
+    "closed",
+    "audit",
+    "quarantine",
+    "strict",
+    "inject-garbage",
+    "perturb-count",
+    "follow",
+    "window",
+    "follow-poll-ms",
+    "follow-max-updates",
+    "compare-incremental",
+    "bench-report",
+];
 
 /// Runs the command. Observability (`--trace`, `--metrics-out`,
 /// `--progress`) wraps the whole mine; the metrics summary embeds the
@@ -48,7 +77,7 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
     let period: usize = args.required_parsed("period")?;
     let min_conf: f64 = args.required_parsed("min-conf")?;
     let limit: usize = args.parsed_or("limit", 20)?;
-    let algorithm = super::resolve_engine(args)?;
+    let engine = super::resolve_engine(args)?;
 
     let config = super::apply_guards(args, MineConfig::new(min_conf)?)?;
 
@@ -135,10 +164,10 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
                 )));
             }
         }
-        if (args.switch("engine") || args.switch("algorithm")) && algorithm != "vertical" {
+        if (args.switch("engine") || args.switch("algorithm")) && engine != Engine::Vertical {
             return Err(CliError::Usage(format!(
                 "--follow/--compare-incremental always re-mine through the \
-                 incremental vertical index; --engine {algorithm:?} cannot follow"
+                 incremental vertical index; --engine {engine} cannot follow"
             )));
         }
         if args.switch("compare-incremental") {
@@ -154,10 +183,10 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
                 "--stream requires a .ppmstream input (see `ppm convert`)".into(),
             ));
         }
-        if !matches!(algorithm, "apriori" | "hitset") {
-            return Err(CliError::Usage(format!(
-                "--stream supports --engine apriori|hitset, not {algorithm:?}"
-            )));
+        if engine == Engine::Vertical {
+            return Err(CliError::Usage(
+                "--stream supports --engine apriori|hitset, not the vertical engine".into(),
+            ));
         }
         let file = FileSource::open(input)?;
         let catalog = file.catalog().clone();
@@ -185,8 +214,8 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
             }
             None => source,
         };
-        let run_one = |src: &mut dyn SeriesSource| match algorithm {
-            "apriori" => mine_apriori_streaming(src, period, &config),
+        let run_one = |src: &mut dyn SeriesSource| match engine {
+            Engine::Apriori => mine_apriori_streaming(src, period, &config),
             _ => mine_hitset_streaming(src, period, &config),
         };
         let mut qreport = None;
@@ -218,158 +247,107 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
         return Ok(Some(result.stats));
     }
 
-    // Columnar fast path: a `.ppmc` file's bytes *are* the bitmap rows, so
-    // the view-backed engines mine straight off the load with no series
-    // materialized. Modes that need raw instants (quarantine, maximal,
-    // closed, constraints) fall through to the materializing path below.
+    // Every input is mined as one bitmap view: a `.ppmc` store lends its
+    // file's rows, any other format is loaded and encoded once. Modes that
+    // need raw instants (quarantine, maximal, closed, constraints)
+    // materialize the series first; quarantine then mines the cleaned
+    // series through the same view dispatch.
     let needs_instants = quarantine
         || strict
         || args.switch("maximal")
         || args.switch("closed")
         || args.switch("offsets")
         || args.switch("max-letters");
-    if super::format_of(input) == super::Format::Columnar && !needs_instants {
-        let threads: usize = args.parsed_or("threads", 1)?;
-        let viewable = matches!(algorithm, "hitset" | "apriori" | "vertical");
-        if viewable {
-            let reader = ColumnarReader::open(input)?;
-            let view = reader.view();
-            let result = match algorithm {
-                "apriori" => ppm_core::apriori::mine_view(view, period, &config),
-                // Threads shard the derivation's segment axis *within* this
-                // one period — no series is ever materialized.
-                "vertical" if threads > 1 => {
-                    ppm_core::vertical::mine_vertical_view_sharded(view, period, &config, threads)
-                }
-                "vertical" => ppm_core::vertical::mine_vertical_view(view, period, &config),
-                _ => ppm_core::hitset::mine_view(view, period, &config),
-            };
-            let mut result = report_if_aborted(result, out)?;
-            if let Some(idx) = perturb {
-                if idx >= result.frequent.len() {
-                    return Err(CliError::Usage(format!(
-                        "--perturb-count {idx}: result has only {} patterns",
-                        result.frequent.len()
-                    )));
-                }
-                result.frequent[idx].count += 1;
-                writeln!(out, "perturbed pattern #{idx}: count bumped by 1")?;
-            }
-            if args.switch("tsv") {
-                write!(
-                    out,
-                    "{}",
-                    ppm_core::export::patterns_tsv(&result, reader.catalog())
-                )?;
-                return Ok(Some(result.stats));
-            }
-            print_result(&result, reader.catalog(), period, min_conf, limit, out)?;
-            if let Some(mode) = audit_mode {
-                run_audit_view(view, &result, reader.catalog(), period, &config, mode, out)?;
-            }
-            return Ok(Some(result.stats));
-        }
-    }
-
-    let (series, catalog) = super::load_series(input)?;
-
-    // Quarantine: pass every instant through scan-boundary validation and
-    // mine the cleaned series. Quarantined instants become empty, so all
-    // reported counts/confidences are sound lower bounds.
     let mut skipped = 0;
-    let series = if quarantine || strict {
-        let (cleaned, rep) = quarantine_series(&series, inject, strict)?;
-        print_quarantine(&rep, out)?;
-        skipped = rep.len();
-        cleaned
-    } else {
-        series
-    };
+    let rows = if needs_instants {
+        let (series, catalog) = super::load_series(input)?;
 
-    // Maximal-only mode short-circuits (it has its own result shape).
-    if args.switch("maximal") {
-        let result = mine_maximal(&series, period, &config)?;
-        writeln!(
-            out,
-            "{} maximal patterns (period {period}, {} segments, min_conf {min_conf}):",
-            result.maximal.len(),
-            result.segment_count
-        )?;
-        for fp in result.maximal.iter().take(limit) {
-            let pattern = Pattern::from_letter_set(&result.alphabet, &fp.letters);
-            writeln!(
-                out,
-                "  {}  count={} conf={:.3}",
-                pattern.display(&catalog),
-                fp.count,
-                fp.count as f64 / result.segment_count as f64
-            )?;
-        }
-        return finish_mined(result.stats, skipped);
-    }
-
-    // Closed-only mode: the lossless compression of the frequent set.
-    if args.switch("closed") {
-        let result = mine_closed(&series, period, &config)?;
-        writeln!(
-            out,
-            "{} closed patterns (period {period}, {} segments, min_conf {min_conf}):",
-            result.closed.len(),
-            result.segment_count
-        )?;
-        for fp in result.closed.iter().take(limit) {
-            let pattern = Pattern::from_letter_set(&result.alphabet, &fp.letters);
-            writeln!(
-                out,
-                "  {}  count={} conf={:.3}",
-                pattern.display(&catalog),
-                fp.count,
-                fp.count as f64 / result.segment_count as f64
-            )?;
-        }
-        return finish_mined(result.stats, skipped);
-    }
-
-    let offsets = args.parsed_list::<usize>("offsets")?;
-    let max_letters = args
-        .get("max-letters")
-        .map(|_| args.required_parsed("max-letters"));
-    let constrained = offsets.is_some() || max_letters.is_some();
-
-    let mut result = if constrained {
-        let mut c = Constraints::none();
-        if let Some(o) = offsets {
-            c = c.at_offsets(o);
-        }
-        if let Some(m) = max_letters {
-            c = c.max_letters(m?);
-        }
-        mine_constrained(&series, period, &config, &c)?
-    } else {
-        let result = match algorithm {
-            "apriori" => mine(&series, period, &config, Algorithm::Apriori),
-            "hitset" => mine(&series, period, &config, Algorithm::HitSet),
-            "parallel" => {
-                let threads: usize = args.parsed_or("threads", 4)?;
-                mine_parallel(&series, period, &config, threads)
-            }
-            "vertical" => {
-                let threads: usize = args.parsed_or("threads", 1)?;
-                if threads > 1 {
-                    mine_parallel_vertical(&series, period, &config, threads)
-                } else {
-                    mine_vertical(&series, period, &config)
-                }
-            }
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown --engine {other:?} (apriori|hitset|parallel|vertical)"
-                )))
-            }
+        // Quarantine: pass every instant through scan-boundary validation
+        // and mine the cleaned series. Quarantined instants become empty,
+        // so all reported counts/confidences are sound lower bounds.
+        let series = if quarantine || strict {
+            let (cleaned, rep) = quarantine_series(&series, inject, strict)?;
+            print_quarantine(&rep, out)?;
+            skipped = rep.len();
+            cleaned
+        } else {
+            series
         };
-        report_if_aborted(result, out)?
+
+        // Maximal-only mode short-circuits (it has its own result shape).
+        if args.switch("maximal") {
+            let result = mine_maximal(&series, period, &config)?;
+            writeln!(
+                out,
+                "{} maximal patterns (period {period}, {} segments, min_conf {min_conf}):",
+                result.maximal.len(),
+                result.segment_count
+            )?;
+            for fp in result.maximal.iter().take(limit) {
+                let pattern = Pattern::from_letter_set(&result.alphabet, &fp.letters);
+                writeln!(
+                    out,
+                    "  {}  count={} conf={:.3}",
+                    pattern.display(&catalog),
+                    fp.count,
+                    fp.count as f64 / result.segment_count as f64
+                )?;
+            }
+            return finish_mined(result.stats, skipped);
+        }
+
+        // Closed-only mode: the lossless compression of the frequent set.
+        if args.switch("closed") {
+            let result = mine_closed(&series, period, &config)?;
+            writeln!(
+                out,
+                "{} closed patterns (period {period}, {} segments, min_conf {min_conf}):",
+                result.closed.len(),
+                result.segment_count
+            )?;
+            for fp in result.closed.iter().take(limit) {
+                let pattern = Pattern::from_letter_set(&result.alphabet, &fp.letters);
+                writeln!(
+                    out,
+                    "  {}  count={} conf={:.3}",
+                    pattern.display(&catalog),
+                    fp.count,
+                    fp.count as f64 / result.segment_count as f64
+                )?;
+            }
+            return finish_mined(result.stats, skipped);
+        }
+
+        let offsets = args.parsed_list::<usize>("offsets")?;
+        let max_letters = args
+            .get("max-letters")
+            .map(|_| args.required_parsed("max-letters"));
+        if offsets.is_some() || max_letters.is_some() {
+            let mut c = Constraints::none();
+            if let Some(o) = offsets {
+                c = c.at_offsets(o);
+            }
+            if let Some(m) = max_letters {
+                c = c.max_letters(m?);
+            }
+            let result = mine_constrained(&series, period, &config, &c)?;
+            if args.switch("tsv") {
+                write!(out, "{}", ppm_core::export::patterns_tsv(&result, &catalog))?;
+            } else {
+                print_result(&result, &catalog, period, min_conf, limit, out)?;
+            }
+            return finish_mined(result.stats, skipped);
+        }
+        ViewInput::encode(&series, catalog)
+    } else {
+        ViewInput::open(input)?
     };
 
+    // The `parallel` spelling asks for a multi-threaded mine by name, so
+    // its `--threads` defaults to 4.
+    let spelled_parallel = [args.get("engine"), args.get("algorithm")].contains(&Some("parallel"));
+    let threads = args.parsed_or("threads", if spelled_parallel { 4 } else { 1 })?;
+    let mut result = report_if_aborted(engine.mine(rows.view(), period, &config, threads), out)?;
     if let Some(idx) = perturb {
         if idx >= result.frequent.len() {
             return Err(CliError::Usage(format!(
@@ -380,14 +358,25 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
         result.frequent[idx].count += 1;
         writeln!(out, "perturbed pattern #{idx}: count bumped by 1")?;
     }
-
     if args.switch("tsv") {
-        write!(out, "{}", ppm_core::export::patterns_tsv(&result, &catalog))?;
+        write!(
+            out,
+            "{}",
+            ppm_core::export::patterns_tsv(&result, rows.catalog())
+        )?;
         return finish_mined(result.stats, skipped);
     }
-    print_result(&result, &catalog, period, min_conf, limit, out)?;
+    print_result(&result, rows.catalog(), period, min_conf, limit, out)?;
     if let Some(mode) = audit_mode {
-        run_audit(&series, &result, &catalog, period, &config, mode, out)?;
+        run_audit(
+            rows.view(),
+            &result,
+            rows.catalog(),
+            period,
+            &config,
+            mode,
+            out,
+        )?;
     }
     finish_mined(result.stats, skipped)
 }
@@ -492,7 +481,7 @@ fn follow_columnar(
         )?;
         print_result(&result, reader.catalog(), period, min_conf, limit, out)?;
         if let Some(mode) = audit_mode {
-            run_audit_view(
+            run_audit(
                 reader.view(),
                 &result,
                 reader.catalog(),
@@ -557,10 +546,7 @@ fn compare_incremental(
 
     // Cold baseline: one full derive over the final state.
     let start = std::time::Instant::now();
-    let cold = report_if_aborted(
-        ppm_core::vertical::mine_vertical_view(view, period, config),
-        out,
-    )?;
+    let cold = report_if_aborted(Engine::Vertical.mine(view, period, config, 1), out)?;
     let cold_us = (start.elapsed().as_micros() as u64).max(1);
 
     // Incremental: bulk-build the index over the first m-N segments (timed;
@@ -760,31 +746,15 @@ fn print_quarantine(report: &QuarantineReport, out: &mut dyn Write) -> Result<()
     Ok(())
 }
 
-/// Runs the full verification stack on a mined result: structural
-/// invariants, the differential oracle's recount, and the cross-algorithm
-/// diff. Violations are printed and surface as [`CliError::Audit`]
-/// (exit code 1) so pipelines fail loudly on a wrong answer.
+/// Runs the full verification stack on a result mined off `view`:
+/// structural invariants, the differential oracle's recount, and the
+/// cross-engine diff ([`audit::cross_check`]: every engine plus the
+/// scalar-kernel, force-sharded, incremental and streaming arms). Both
+/// the recount and the streaming arm need raw instants, so the view is
+/// rebuilt into a series for them. Violations are printed and surface as
+/// [`CliError::Audit`] (exit code 1) so pipelines fail loudly on a wrong
+/// answer.
 fn run_audit(
-    series: &FeatureSeries,
-    result: &MiningResult,
-    catalog: &FeatureCatalog,
-    period: usize,
-    config: &MineConfig,
-    mode: AuditMode,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    let report = audit::audit(series, result, catalog, mode)?;
-    let check = audit::cross_check(series, period, config, catalog)?;
-    finish_audit(report, check, out)
-}
-
-/// [`run_audit`] for a result mined off a borrowed columnar view: the
-/// cross-engine diff runs straight off the packed rows
-/// ([`audit::cross_check_view`] — hit-set, Apriori, vertical, plus the
-/// scalar-kernel and force-sharded vertical arms); the recount oracle
-/// needs raw instants, so the view is rebuilt into a series just for
-/// that check.
-fn run_audit_view(
     view: EncodedSeriesView<'_>,
     result: &MiningResult,
     catalog: &FeatureCatalog,
@@ -799,7 +769,7 @@ fn run_audit_view(
     }
     let series = builder.finish();
     let report = audit::audit(&series, result, catalog, mode)?;
-    let check = audit::cross_check_view(view, period, config, catalog)?;
+    let check = audit::cross_check(&series, period, config, catalog)?;
     finish_audit(report, check, out)
 }
 
@@ -1028,7 +998,13 @@ mod tests {
     #[test]
     fn bad_algorithm_is_usage_error() {
         let path = sample_series_file("ppms");
-        for flag in ["--algorithm magic", "--engine magic"] {
+        // A value-less flag is rejected too, not mined at the default.
+        for flag in [
+            "--algorithm magic",
+            "--engine magic",
+            "--engine",
+            "--algorithm",
+        ] {
             let err = run_cli(&format!(
                 "mine --input {} --period 3 --min-conf 0.6 {flag}",
                 path.display()
@@ -1481,7 +1457,7 @@ mod tests {
             path.display()
         ))
         .unwrap();
-        assert!(text.contains("cross-check: 6 engines"), "{text}");
+        assert!(text.contains("cross-check: 7 engines"), "{text}");
         assert!(text.contains("audit: clean"), "{text}");
         std::fs::remove_file(path).ok();
     }
@@ -1606,7 +1582,7 @@ mod tests {
         assert!(text.contains("update 1: +1 segments (31 live"), "{text}");
         assert!(text.contains("re-mined in"), "{text}");
         // Every update is proven bit-identical to a cold mine.
-        assert!(text.contains("cross-check: 6 engines"), "{text}");
+        assert!(text.contains("cross-check: 7 engines"), "{text}");
         assert!(text.contains("audit: clean"), "{text}");
         std::fs::remove_file(path).ok();
     }

@@ -16,13 +16,16 @@ pub mod verify;
 
 use std::path::Path;
 
-use ppm_core::MineConfig;
+use ppm_core::{Engine, MineConfig};
 use ppm_timeseries::columnar::{self, ColumnarReader};
 use ppm_timeseries::storage::{self, stream};
-use ppm_timeseries::{FeatureCatalog, FeatureSeries};
+use ppm_timeseries::{EncodedSeries, EncodedSeriesView, FeatureCatalog, FeatureSeries};
 
 use crate::args::Parsed;
 use crate::error::CliError;
+
+/// The flags [`apply_guards`] reads, shared by `mine` and `sweep`.
+pub const GUARD_FLAGS: &[&str] = &["deadline-ms", "max-tree-nodes", "kernel"];
 
 /// Applies the shared resource-guard flags — `--deadline-ms` and
 /// `--max-tree-nodes` — to a mining config. Guarded miners abort with a
@@ -65,17 +68,73 @@ pub fn resolve_kernel(args: &Parsed) -> Result<ppm_core::Kernel, CliError> {
     }
 }
 
-/// Resolves the counting engine from `--engine` (preferred) or its older
-/// spelling `--algorithm`; both given at once is ambiguous and rejected.
-/// Defaults to the hit-set engine. Which values are legal depends on the
-/// command, so validation happens at the call site.
-pub fn resolve_engine(args: &Parsed) -> Result<&str, CliError> {
-    match (args.get("engine"), args.get("algorithm")) {
-        (Some(_), Some(_)) => Err(CliError::Usage(
-            "--engine and --algorithm are the same flag; pass only one".into(),
-        )),
-        (Some(e), None) | (None, Some(e)) => Ok(e),
-        (None, None) => Ok("hitset"),
+/// Resolves the mining engine from `--engine` (preferred) or its older
+/// spelling `--algorithm`; both given at once is ambiguous and rejected,
+/// and so are a missing value and a name [`Engine::parse`] does not know.
+/// Defaults to the hit-set engine. Which engines a mode supports is
+/// checked at the call site.
+pub fn resolve_engine(args: &Parsed) -> Result<Engine, CliError> {
+    let name = match (args.get("engine"), args.get("algorithm")) {
+        (Some(_), Some(_)) => {
+            return Err(CliError::Usage(
+                "--engine and --algorithm are the same flag; pass only one".into(),
+            ))
+        }
+        (Some(name), None) | (None, Some(name)) => name,
+        (None, None) if args.switch("engine") || args.switch("algorithm") => {
+            return Err(CliError::Usage(
+                "--engine needs a value (apriori|hitset|parallel|vertical)".into(),
+            ))
+        }
+        (None, None) => return Ok(Engine::default()),
+    };
+    Engine::parse(name).ok_or_else(|| {
+        CliError::Usage(format!(
+            "unknown --engine {name:?} (apriori|hitset|parallel|vertical)"
+        ))
+    })
+}
+
+/// A mining input opened as one bitmap view: a `.ppmc` store lends its
+/// file's rows directly; every other format is loaded and encoded once.
+pub enum ViewInput {
+    /// A columnar store, mined straight off its loaded words.
+    Columnar(ColumnarReader),
+    /// Any other format (or a series built in memory), encoded once.
+    Encoded(EncodedSeries, FeatureCatalog),
+}
+
+impl ViewInput {
+    /// Opens `path` in whatever format its extension indicates.
+    pub fn open(path: &str) -> Result<ViewInput, CliError> {
+        match format_of(path) {
+            Format::Columnar => Ok(ViewInput::Columnar(ColumnarReader::open(path)?)),
+            _ => {
+                let (series, catalog) = load_series(path)?;
+                Ok(ViewInput::encode(&series, catalog))
+            }
+        }
+    }
+
+    /// Encodes an in-memory series.
+    pub fn encode(series: &FeatureSeries, catalog: FeatureCatalog) -> ViewInput {
+        ViewInput::Encoded(EncodedSeries::encode(series), catalog)
+    }
+
+    /// The borrowed bitmap view every engine mines.
+    pub fn view(&self) -> EncodedSeriesView<'_> {
+        match self {
+            ViewInput::Columnar(reader) => reader.view(),
+            ViewInput::Encoded(encoded, _) => encoded.view(),
+        }
+    }
+
+    /// The feature catalog that names the view's feature ids.
+    pub fn catalog(&self) -> &FeatureCatalog {
+        match self {
+            ViewInput::Columnar(reader) => reader.catalog(),
+            ViewInput::Encoded(_, catalog) => catalog,
+        }
     }
 }
 

@@ -24,6 +24,36 @@ use ppm_serve::{ClientError, Endpoint, ErrorCode, FailoverClient, RetryPolicy};
 use crate::args::Parsed;
 use crate::error::CliError;
 
+/// The flags `ppm query` accepts.
+pub const FLAGS: &[&str] = &[
+    "port",
+    "socket",
+    "host",
+    "endpoints",
+    "op",
+    "store",
+    "period",
+    "min-conf",
+    "rows",
+    "repeat",
+    "engine",
+    "limit",
+    "no-cache",
+    "quarantine",
+    "inject-garbage",
+    "show-cached",
+    "deadline-ms",
+    "max-tree-nodes",
+    "min-rule-conf",
+    "retries",
+    "backoff-ms",
+    "backoff-max-ms",
+    "io-timeout-ms",
+    "hedge-ms",
+    "seed",
+    "recheck",
+];
+
 /// Runs one query against the daemon(s).
 pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let op = args.get("op").unwrap_or("mine");

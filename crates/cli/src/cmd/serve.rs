@@ -14,6 +14,36 @@ use ppm_serve::StoreRegistry;
 use crate::args::Parsed;
 use crate::error::CliError;
 
+/// The flags `ppm serve` accepts.
+pub const FLAGS: &[&str] = &[
+    "stores",
+    "port",
+    "socket",
+    "host",
+    "workers",
+    "queue",
+    "cache",
+    "cache-max-entries",
+    "cache-max-bytes",
+    "deadline-ms",
+    "max-tree-nodes",
+    "kernel",
+    "mine-threads",
+    "drain-ms",
+    "retry-after-ms",
+    "test-faults",
+    "idle-timeout-ms",
+    "frame-deadline-ms",
+    "max-requests-per-conn",
+    "verify-interval-ms",
+    "access-log",
+    "slow-ms",
+    "flight-dump",
+    "flight-events",
+    "metrics-out",
+    "trace",
+];
+
 /// Runs the daemon until a termination signal (or a `shutdown` query).
 pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let stores: Vec<String> = args

@@ -17,11 +17,10 @@ use std::io::Write;
 use std::time::Instant;
 
 use ppm_core::multi::{
-    mine_periods_looping_view, mine_periods_scheduled, mine_periods_shared_view, MultiPeriodResult,
-    PeriodRange, SweepEngine,
+    mine_periods_looping, mine_periods_scheduled, mine_periods_shared_view, MultiPeriodResult,
+    PeriodRange,
 };
-use ppm_core::vertical::{mine_vertical, mine_vertical_view};
-use ppm_core::{hitset, Algorithm, MineConfig, StatsRollup};
+use ppm_core::{hitset, Engine, MineConfig, StatsRollup};
 use ppm_observe::Json;
 use ppm_timeseries::columnar::ColumnarReader;
 use ppm_timeseries::{storage, EncodedSeries, EncodedSeriesView, FeatureCatalog, FeatureSeries};
@@ -30,6 +29,25 @@ use crate::args::Parsed;
 use crate::checkpoint::{PeriodRow, SweepCheckpoint};
 use crate::error::CliError;
 use crate::obs::{rollup_json, ObsSetup};
+
+/// The flags `ppm sweep` accepts besides [`super::GUARD_FLAGS`] and
+/// [`crate::obs::FLAGS`].
+pub const FLAGS: &[&str] = &[
+    "input",
+    "from",
+    "to",
+    "min-conf",
+    "engine",
+    "algorithm",
+    "looping",
+    "workers",
+    "threads",
+    "compare-tree",
+    "compare-kernel",
+    "compare-ingest",
+    "checkpoint",
+    "bench-report",
+];
 
 /// Runs the command. `--trace` / `--metrics-out` work as for `mine`;
 /// `--bench-report NAME` additionally writes a stable `BENCH_NAME.json`
@@ -142,25 +160,20 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<SweepOutcome, CliErro
     let min_conf: f64 = args.required_parsed("min-conf")?;
 
     let engine = super::resolve_engine(args)?;
-    if !matches!(engine, "hitset" | "apriori" | "vertical") {
-        return Err(CliError::Usage(format!(
-            "sweep supports --engine hitset|apriori|vertical, not {engine:?}"
-        )));
-    }
-    if engine != "hitset" && (args.switch("looping") || args.switch("checkpoint")) {
+    if engine != Engine::HitSet && (args.switch("looping") || args.switch("checkpoint")) {
         return Err(CliError::Usage(format!(
             "--looping and --checkpoint are hit-set sweep modes; \
              they do not combine with --engine {engine}"
         )));
     }
-    if args.switch("compare-tree") && engine != "vertical" {
+    if args.switch("compare-tree") && engine != Engine::Vertical {
         return Err(CliError::Usage(
             "--compare-tree only applies to --engine vertical (it races the \
              vertical derivation against the tree walk)"
                 .into(),
         ));
     }
-    if args.switch("compare-kernel") && engine != "vertical" {
+    if args.switch("compare-kernel") && engine != Engine::Vertical {
         return Err(CliError::Usage(
             "--compare-kernel only applies to --engine vertical (it races \
              the scalar kernel against the wide, segment-sharded one)"
@@ -209,19 +222,8 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<SweepOutcome, CliErro
     // straight into the bitmap rows (the on-disk layout is the encoded
     // layout); any other format is materialized and bit-packed exactly
     // once, here, never again per period.
-    let reader_slot;
-    let encoded_slot;
-    let view: EncodedSeriesView<'_> = match super::format_of(input) {
-        super::Format::Columnar => {
-            reader_slot = ColumnarReader::open(input)?;
-            reader_slot.view()
-        }
-        _ => {
-            let (series, _catalog) = super::load_series(input)?;
-            encoded_slot = EncodedSeries::encode(&series);
-            encoded_slot.view()
-        }
-    };
+    let rows = super::ViewInput::open(input)?;
+    let view = rows.view();
 
     let ingest_compare = if args.switch("compare-ingest") {
         Some(run_ingest_compare(args, input, out)?)
@@ -233,17 +235,17 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<SweepOutcome, CliErro
         run_scheduled(
             args, input, view, range, &config, engine, workers, from, to, min_conf, out,
         )?
-    } else if engine == "vertical" {
+    } else if engine == Engine::Vertical {
         run_vertical(args, view, range, &config, from, to, min_conf, out)?
     } else {
-        let (result, how) = if engine == "apriori" {
+        let (result, how) = if engine == Engine::Apriori {
             (
-                mine_periods_looping_view(view, range, &config, Algorithm::Apriori)?,
+                mine_periods_looping(view, range, &config, engine)?,
                 "looping Apriori, Alg 3.3/3.1",
             )
         } else if args.switch("looping") {
             (
-                mine_periods_looping_view(view, range, &config, Algorithm::HitSet)?,
+                mine_periods_looping(view, range, &config, engine)?,
                 "looping, Alg 3.3",
             )
         } else {
@@ -299,20 +301,15 @@ fn run_scheduled(
     view: EncodedSeriesView<'_>,
     range: PeriodRange,
     config: &MineConfig,
-    engine: &str,
+    engine: Engine,
     workers: usize,
     from: usize,
     to: usize,
     min_conf: f64,
     out: &mut dyn Write,
 ) -> Result<SweepOutcome, CliError> {
-    let sweep_engine = match engine {
-        "apriori" => SweepEngine::Apriori,
-        "vertical" => SweepEngine::Vertical,
-        _ => SweepEngine::HitSet,
-    };
     let start = Instant::now();
-    let result = mine_periods_scheduled(view, range, config, sweep_engine, workers)?;
+    let result = mine_periods_scheduled(view, range, config, engine, workers)?;
     let scheduler_us = start.elapsed().as_micros() as u64;
 
     // Guard trips fail only the periods that hit them; the completed
@@ -397,27 +394,23 @@ fn run_scheduled(
 }
 
 /// The honest sequential baseline for `sweep_compare`: every period pays
-/// the full standalone pipeline — load the input, (re-)encode, mine — the
-/// cost an operator pays running `mine` once per period. Skips periods
-/// longer than the series like every sweep does.
+/// the full standalone pipeline — open the input (load and encode, or a
+/// columnar open), mine — the cost an operator pays running `mine` once
+/// per period. Skips periods longer than the series like every sweep does.
 fn sequential_baseline(
     input: &str,
     range: PeriodRange,
     config: &MineConfig,
-    engine: &str,
+    engine: Engine,
 ) -> Result<MultiPeriodResult, CliError> {
     let mut results = Vec::new();
     let mut total_scans = 0;
     for period in range.iter() {
-        let (series, _catalog) = super::load_series(input)?;
-        if period > series.len() {
+        let rows = super::ViewInput::open(input)?;
+        if period > rows.view().len() {
             continue;
         }
-        let r = match engine {
-            "apriori" => ppm_core::mine(&series, period, config, Algorithm::Apriori)?,
-            "vertical" => mine_vertical(&series, period, config)?,
-            _ => ppm_core::mine(&series, period, config, Algorithm::HitSet)?,
-        };
+        let r = engine.mine(rows.view(), period, config, 1)?;
         total_scans += r.stats.series_scans;
         results.push(r);
     }
@@ -519,7 +512,7 @@ fn run_vertical(
     let mut rows = Vec::new();
     let mut kernel_compare: Option<KernelCompare> = None;
     for period in range.iter().filter(|&p| p <= view.len()) {
-        let result = mine_vertical_view(view, period, config)?;
+        let result = Engine::Vertical.mine(view, period, config, 1)?;
         if compare {
             let tree = hitset::mine_view(view, period, config)?;
             if result.frequent != tree.frequent {
@@ -647,7 +640,7 @@ fn write_bench_report(
         ("name".to_owned(), Json::Str(name.to_owned())),
         (
             "engine".to_owned(),
-            Json::Str(super::resolve_engine(args)?.to_owned()),
+            Json::Str(super::resolve_engine(args)?.name().to_owned()),
         ),
         (
             "from".to_owned(),
@@ -1223,7 +1216,7 @@ mod tests {
             "--engine vertical --looping".to_owned(),
             format!("--engine vertical --checkpoint {}", ckpt.display()),
             "--compare-tree".to_owned(),
-            "--engine parallel".to_owned(),
+            "--engine magic".to_owned(),
             "--engine vertical --algorithm hitset".to_owned(),
         ] {
             let err = run_cli(&format!(
@@ -1233,6 +1226,20 @@ mod tests {
             .unwrap_err();
             assert_eq!(err.exit_code(), 2, "{extra}: {err}");
         }
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn parallel_engine_spelling_sweeps_as_vertical() {
+        let path = sample_series_file("ppms");
+        let sweep = |engine: &str| {
+            run_cli(&format!(
+                "sweep --input {} --from 2 --to 6 --min-conf 0.6 --engine {engine}",
+                path.display()
+            ))
+            .unwrap()
+        };
+        assert_eq!(sweep("parallel"), sweep("vertical"));
         std::fs::remove_file(path).ok();
     }
 
@@ -1374,9 +1381,9 @@ mod tests {
         assert!(compare.get("text_us").unwrap().as_u64().is_some());
         assert!(compare.get("columnar_us").unwrap().as_u64().is_some());
         assert!(compare.get("speedup").unwrap().as_f64().is_some());
-        // The columnar load feeds the mmap-bytes gauge into the report.
+        // The columnar load feeds the read-bytes gauge into the report.
         let gauges = doc.get("gauges").unwrap();
-        assert!(gauges.get("columnar.mmap_bytes").is_some(), "{doc:?}");
+        assert!(gauges.get("columnar.read_bytes").is_some(), "{doc:?}");
         std::fs::remove_file(txt).ok();
         std::fs::remove_file(ppmc).ok();
         std::fs::remove_file(report).ok();

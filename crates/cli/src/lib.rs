@@ -32,30 +32,41 @@ use std::io::Write;
 /// the program name) and runs the selected command, writing human output
 /// to `out`.
 pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+    type Command = fn(&args::Parsed, &mut dyn Write) -> Result<(), CliError>;
     let parsed = args::Parsed::parse(argv)?;
-    match parsed.command.as_str() {
-        "generate" => cmd::generate::run(&parsed, out),
-        "info" => cmd::info::run(&parsed, out),
-        "mine" => cmd::mine::run(&parsed, out),
-        "sweep" => cmd::sweep::run(&parsed, out),
-        "perfect" => cmd::perfect::run(&parsed, out),
-        "convert" => cmd::convert::run(&parsed, out),
-        "rules" => cmd::rules::run(&parsed, out),
-        "evolve" => cmd::evolve::run(&parsed, out),
-        "verify" => cmd::verify::run(&parsed, out),
-        "serve" => cmd::serve::run(&parsed, out),
-        "query" => cmd::query::run(&parsed, out),
-        "chaos" => cmd::chaos::run(&parsed, out),
-        "append" => cmd::append::run(&parsed, out),
+    let (flags, command): (&[&[&str]], Command) = match parsed.command.as_str() {
+        "generate" => (&[cmd::generate::FLAGS], cmd::generate::run),
+        "info" => (&[cmd::info::FLAGS], cmd::info::run),
+        "mine" => (
+            &[cmd::mine::FLAGS, cmd::GUARD_FLAGS, obs::FLAGS],
+            cmd::mine::run,
+        ),
+        "sweep" => (
+            &[cmd::sweep::FLAGS, cmd::GUARD_FLAGS, obs::FLAGS],
+            cmd::sweep::run,
+        ),
+        "perfect" => (&[cmd::perfect::FLAGS], cmd::perfect::run),
+        "convert" => (&[cmd::convert::FLAGS], cmd::convert::run),
+        "rules" => (&[cmd::rules::FLAGS], cmd::rules::run),
+        "evolve" => (&[cmd::evolve::FLAGS], cmd::evolve::run),
+        "verify" => (&[cmd::verify::FLAGS, obs::FLAGS], cmd::verify::run),
+        "serve" => (&[cmd::serve::FLAGS], cmd::serve::run),
+        "query" => (&[cmd::query::FLAGS], cmd::query::run),
+        "chaos" => (&[cmd::chaos::FLAGS], cmd::chaos::run),
+        "append" => (&[cmd::append::FLAGS], cmd::append::run),
         "help" | "--help" | "-h" => {
             writeln!(out, "{}", usage())?;
-            Ok(())
+            return Ok(());
         }
-        other => Err(CliError::Usage(format!(
-            "unknown command {other:?}\n{}",
-            usage()
-        ))),
-    }
+        other => {
+            return Err(CliError::Usage(format!(
+                "unknown command {other:?}\n{}",
+                usage()
+            )))
+        }
+    };
+    parsed.reject_undeclared(flags)?;
+    command(&parsed, out)
 }
 
 /// [`run`] writing to the process's standard output. A reader that goes
@@ -123,7 +134,7 @@ USAGE:
   ppm verify   --input FILE --patterns FILE.tsv --period P --min-conf C
                [--sample [N]]
   ppm sweep    --input FILE --from P1 --to P2 --min-conf C [--looping]
-               [--engine hitset|apriori|vertical] [--compare-tree]
+               [--engine hitset|apriori|parallel|vertical] [--compare-tree]
                [--workers N] [--compare-ingest FILE.txt]
                [--checkpoint FILE] [--deadline-ms MS] [--max-tree-nodes N]
                [--trace] [--metrics-out FILE] [--bench-report NAME]
@@ -199,6 +210,9 @@ connections. ppm chaos is a deterministic seeded proxy that delays,
 truncates, corrupts, duplicates, and severs responses — the harness the
 soak tests use to prove all of the above.
 
+Flags: every command declares the flags it accepts; an undeclared
+(misspelled) flag exits 2 and names the nearest declared one.
+
 Exit codes (shared between direct commands and the daemon): 0 success;
 1 internal failure; 2 usage; 3 partial result (a --deadline-ms /
 --max-tree-nodes guard tripped; partial progress was reported); 4 input
@@ -214,11 +228,13 @@ truncated .ppmstream.
 
 Engines: --engine picks the counting strategy (--algorithm is the same
 flag). hitset is the paper's two-scan max-subpattern method; apriori is
-the level-wise Alg 3.1; parallel shards the hit-set scans across threads;
-vertical replaces the tree with per-letter segment bitmaps — counting a
-candidate is a k-way AND + popcount — and honours --threads too. Every
-sweep engine shares ONE encode/load (a .ppmc input opens directly as the
-bitmap rows); --compare-tree additionally races each period against the
+the level-wise Alg 3.1; vertical replaces the tree with per-letter
+segment bitmaps — counting a candidate is a k-way AND + popcount — and
+--threads N shards each level's counting across threads; parallel is
+vertical with --threads defaulting to 4. mine and sweep mine every input
+as ONE bitmap view (a .ppmc input opens directly as the bitmap rows,
+other formats are encoded once), so each engine prints the same output
+on every format; --compare-tree additionally races each period against the
 tree walk and fails on any disagreement. sweep --workers N mines the
 range with a work-stealing scheduler (per-worker deques plus a shared
 injector, idle workers steal periods from peers) off that one shared
@@ -286,6 +302,38 @@ mod tests {
         );
         assert!(run_to_stdout(&help, ClosingPipe { room: 10 }).is_ok());
         assert!(run_to_stdout(&help, ClosingPipe { room: 0 }).is_ok());
+    }
+
+    /// Every command rejects a misspelled flag before doing any work
+    /// (no input files exist here) and names the flag it probably meant.
+    #[test]
+    fn every_command_rejects_a_misspelled_flag() {
+        for (line, meant) in [
+            (
+                "mine --input s.txt --period 10 --min-conf 0.6 --engnie vertical --limt 2 --thraeds 4",
+                "engine",
+            ),
+            ("mine --input s.txt --period 10 --min-cnof 0.9", "min-conf"),
+            ("mine --input s.txt --period 10 --min-conf 0.6 --trcae", "trace"),
+            ("mine --input s.txt --period 10 --min-conf 0.6 --deadline 5", "deadline-ms"),
+            ("sweep --input s.txt --from 2 --to 4 --min-conf 0.6 --worker 2", "workers"),
+            ("verify --input s.txt --patterns p.tsv --period 3 --min-conf 0.6 --sampel", "sample"),
+            ("generate --length 10 --period 2 --max-pat-length 1 --f1 1 --out x --sede 1", "seed"),
+            ("info --input s.txt --perod 3", "period"),
+            ("perfect --input s.txt --from 2 --too 4", "to"),
+            ("convert --input s.txt --out s.ppms --salvge", "salvage"),
+            ("rules --input s.txt --period 3 --min-conf 0.6 --min-rule-cnf 0.8", "min-rule-conf"),
+            ("evolve --input s.txt --period 3 --min-conf 0.6 --windw 4", "window"),
+            ("append --input s.ppmc --rows - --repaet 2", "repeat"),
+            ("serve --stores s.ppmc --prot 0", "port"),
+            ("query --port 1 --op stats --no-cahce", "no-cache"),
+            ("chaos --upstream 127.0.0.1:1 --fault-percnet 5", "fault-percent"),
+        ] {
+            let err = run(&argv(&line.split(' ').collect::<Vec<_>>()), &mut Vec::new()).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{line}: {err}");
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("did you mean --{meant}?")), "{line}: {msg}");
+        }
     }
 
     #[test]

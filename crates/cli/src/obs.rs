@@ -23,6 +23,10 @@ use ppm_observe::{
 use crate::args::Parsed;
 use crate::error::CliError;
 
+/// The flags [`ObsSetup::from_args`] reads, shared by `mine`, `sweep`
+/// and `verify`.
+pub const FLAGS: &[&str] = &["trace", "metrics-out", "progress", "progress-interval-ms"];
+
 /// The observability configuration of one CLI invocation.
 pub struct ObsSetup {
     collector: Option<Arc<Collector>>,

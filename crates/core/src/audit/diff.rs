@@ -7,7 +7,9 @@
 //! ([`crate::vertical`]) recounts the same definition columnarly. Running
 //! all of them on the same input and diffing the outputs is therefore a
 //! free correctness oracle: any disagreement is a bug in at least one
-//! engine, found without knowing which answer is right.
+//! engine, found without knowing which answer is right. The engine list
+//! is written once ([`Engine::ALL`]); both entry points run it over one
+//! view.
 
 use std::collections::HashMap;
 
@@ -20,6 +22,7 @@ use crate::pattern::Pattern;
 use crate::result::MiningResult;
 use crate::scan::MineConfig;
 use crate::vertical::Kernel;
+use crate::Engine;
 
 use super::{render, AuditReport, Violation};
 
@@ -198,96 +201,37 @@ fn diff_pair(
     }
 }
 
-/// Mines `series` with the hit-set, Apriori, streaming hit-set, and
-/// vertical engines — the latter also on its forced-scalar kernel, on a
-/// force-sharded derive, and on the segment-at-a-time incremental index —
-/// and diffs the results pairwise against the hit-set baseline.
-///
-/// The vertical re-mine reuses one [`EncodedSeries`] cache, so the oracle
-/// probes packed instant bitmaps instead of re-merge-walking raw feature
-/// slices.
-///
-/// The miners canonicalize ordering before returning, so equal results
-/// compare equal structurally; any difference in membership or counts
-/// becomes a [`Violation::AlgorithmMismatch`] naming the engines and the
-/// pattern.
-pub fn cross_check(
-    series: &FeatureSeries,
+/// Runs every [`Engine`] over `view`, plus the forced-scalar,
+/// force-sharded and incremental vertical arms, in comparison order
+/// (index 0, the hit-set engine, is the baseline).
+fn view_arms(
+    view: EncodedSeriesView<'_>,
     period: usize,
     config: &MineConfig,
-    catalog: &FeatureCatalog,
-) -> crate::error::Result<CrossCheck> {
-    let _span = ppm_observe::span("audit.diff");
-    let baseline = crate::hitset::mine(series, period, config)?;
-    let apriori = crate::apriori::mine(series, period, config)?;
-    let streamed = {
-        let mut src = MemorySource::new(series);
-        crate::streaming::mine_hitset_streaming(&mut src, period, config)?
-    };
-    let encoded = EncodedSeries::encode(series);
-    let vertical = crate::vertical::mine_vertical_encoded(series, &encoded, period, config)?;
-    let (vertical_scalar, vertical_sharded) = vertical_kernel_arms(encoded.view(), period, config)?;
-    let incremental = incremental_arm(encoded.view(), period, config)?;
-
-    let mut report = AuditReport::new();
-    diff_pair(
-        "hitset",
-        &baseline,
-        "apriori",
-        &apriori,
-        catalog,
-        &mut report,
-    );
-    diff_pair(
-        "hitset",
-        &baseline,
-        "streaming-hitset",
-        &streamed,
-        catalog,
-        &mut report,
-    );
-    diff_pair(
-        "hitset",
-        &baseline,
-        "vertical",
-        &vertical,
-        catalog,
-        &mut report,
-    );
-    diff_pair(
-        "hitset",
-        &baseline,
-        "vertical-scalar",
-        &vertical_scalar,
-        catalog,
-        &mut report,
-    );
-    diff_pair(
-        "hitset",
-        &baseline,
-        "vertical-sharded",
-        &vertical_sharded,
-        catalog,
-        &mut report,
-    );
-    diff_pair(
-        "hitset",
-        &baseline,
+) -> crate::error::Result<Vec<(&'static str, MiningResult)>> {
+    let mut arms = Vec::with_capacity(Engine::ALL.len() + 3);
+    for engine in Engine::ALL {
+        arms.push((engine.name(), engine.mine(view, period, config, 1)?));
+    }
+    let (scalar, sharded) = vertical_kernel_arms(view, period, config)?;
+    arms.push(("vertical-scalar", scalar));
+    arms.push(("vertical-sharded", sharded));
+    arms.push((
         "incremental-vertical",
-        &incremental,
-        catalog,
-        &mut report,
-    );
+        incremental_arm(view, period, config)?,
+    ));
+    Ok(arms)
+}
+
+/// Diffs every arm pairwise against the first (the baseline).
+fn diff_arms(arms: &[(&'static str, MiningResult)], catalog: &FeatureCatalog) -> CrossCheck {
+    let (baseline_name, baseline) = &arms[0];
+    let mut report = AuditReport::new();
+    for (name, result) in &arms[1..] {
+        diff_pair(baseline_name, baseline, name, result, catalog, &mut report);
+    }
     let check = CrossCheck {
-        algorithms: vec![
-            "hitset",
-            "apriori",
-            "streaming-hitset",
-            "vertical",
-            "vertical-scalar",
-            "vertical-sharded",
-            "incremental-vertical",
-        ],
+        algorithms: arms.iter().map(|(name, _)| *name).collect(),
         compared: baseline.len(),
         report,
     };
@@ -302,19 +246,19 @@ pub fn cross_check(
             format!("{} mismatches", check.report.violations.len())
         }
     });
-    Ok(check)
+    check
 }
 
-/// [`cross_check`] over a borrowed bitmap view (a columnar file load or an
-/// [`EncodedSeries`] cache): mines with the view-backed hit-set, Apriori,
-/// and vertical engines (plus the scalar-kernel, force-sharded, and
-/// incremental vertical arms) and diffs pairwise against the hit-set
-/// baseline.
+/// Mines `period` of a borrowed bitmap view (a columnar file load or an
+/// [`EncodedSeries`] cache) with every [`Engine`] — the vertical one also
+/// on its forced-scalar kernel, on a force-sharded derive, and on the
+/// segment-at-a-time incremental index — and diffs the results pairwise
+/// against the hit-set baseline.
 ///
-/// The streaming engine is absent — it consumes a
-/// [`ppm_timeseries::SeriesSource`], which a borrowed view does not
-/// provide — so this oracle covers the engines that accept packed
-/// rows directly, without ever materializing a [`FeatureSeries`].
+/// The miners canonicalize ordering before returning, so equal results
+/// compare equal structurally; any difference in membership or counts
+/// becomes a [`Violation::AlgorithmMismatch`] naming the engines and the
+/// pattern.
 pub fn cross_check_view(
     view: EncodedSeriesView<'_>,
     period: usize,
@@ -322,77 +266,27 @@ pub fn cross_check_view(
     catalog: &FeatureCatalog,
 ) -> crate::error::Result<CrossCheck> {
     let _span = ppm_observe::span("audit.diff");
-    let baseline = crate::hitset::mine_view(view, period, config)?;
-    let apriori = crate::apriori::mine_view(view, period, config)?;
-    let vertical = crate::vertical::mine_vertical_view(view, period, config)?;
-    let (vertical_scalar, vertical_sharded) = vertical_kernel_arms(view, period, config)?;
-    let incremental = incremental_arm(view, period, config)?;
+    Ok(diff_arms(&view_arms(view, period, config)?, catalog))
+}
 
-    let mut report = AuditReport::new();
-    diff_pair(
-        "hitset",
-        &baseline,
-        "apriori",
-        &apriori,
-        catalog,
-        &mut report,
-    );
-    diff_pair(
-        "hitset",
-        &baseline,
-        "vertical",
-        &vertical,
-        catalog,
-        &mut report,
-    );
-    diff_pair(
-        "hitset",
-        &baseline,
-        "vertical-scalar",
-        &vertical_scalar,
-        catalog,
-        &mut report,
-    );
-    diff_pair(
-        "hitset",
-        &baseline,
-        "vertical-sharded",
-        &vertical_sharded,
-        catalog,
-        &mut report,
-    );
-    diff_pair(
-        "hitset",
-        &baseline,
-        "incremental-vertical",
-        &incremental,
-        catalog,
-        &mut report,
-    );
-    let check = CrossCheck {
-        algorithms: vec![
-            "hitset",
-            "apriori",
-            "vertical",
-            "vertical-scalar",
-            "vertical-sharded",
-            "incremental-vertical",
-        ],
-        compared: baseline.len(),
-        report,
-    };
-    ppm_observe::mark("audit.diff.verdict", || {
-        if check.agreed() {
-            format!(
-                "{} engines agree on {} patterns",
-                check.algorithms.len(),
-                check.compared
-            )
-        } else {
-            format!("{} mismatches", check.report.violations.len())
-        }
-    });
-    Ok(check)
+/// [`cross_check_view`] over the encode of `series`, plus the streaming
+/// hit-set engine, which consumes a [`ppm_timeseries::SeriesSource`]
+/// rather than a view.
+pub fn cross_check(
+    series: &FeatureSeries,
+    period: usize,
+    config: &MineConfig,
+    catalog: &FeatureCatalog,
+) -> crate::error::Result<CrossCheck> {
+    let _span = ppm_observe::span("audit.diff");
+    let encoded = EncodedSeries::encode(series);
+    let mut arms = view_arms(encoded.view(), period, config)?;
+    let mut src = MemorySource::new(series);
+    arms.push((
+        "streaming-hitset",
+        crate::streaming::mine_hitset_streaming(&mut src, period, config)?,
+    ));
+    Ok(diff_arms(&arms, catalog))
 }
 
 #[cfg(test)]

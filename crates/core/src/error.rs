@@ -65,7 +65,7 @@ pub enum Error {
         /// Statistics accumulated before the abort.
         stats: Box<MiningStats>,
     },
-    /// A worker thread panicked during parallel mining. The panic does not
+    /// A worker thread panicked during a scheduled sweep. The panic does not
     /// propagate; it is isolated and surfaced as this error.
     WorkerPanic {
         /// The panic payload, when it was a string; a placeholder otherwise.

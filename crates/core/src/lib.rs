@@ -9,10 +9,18 @@
 //! * [`hitset::mine`] — **Algorithm 3.2**: the max-subpattern hit-set
 //!   method (exactly 2 scans), built on the max-subpattern tree of §4
 //!   ([`hitset::MaxSubpatternTree`], Algorithms 4.1/4.2);
+//! * [`vertical`] — the same two scans, with per-letter segment bitmaps in
+//!   place of the tree; counting a candidate is a k-way AND + popcount,
+//!   optionally sharded over threads along the segment axis;
 //! * [`multi::mine_periods_looping`] — **Algorithm 3.3**: a period range by
 //!   looping the single-period miner;
 //! * [`multi::mine_periods_shared`] — **Algorithm 3.4**: shared mining of a
 //!   period range in 2 scans total.
+//!
+//! [`Engine`] is the one dispatch over the three single-period engines:
+//! [`Engine::mine`] takes one [`ppm_timeseries::EncodedSeriesView`] (a
+//! columnar file load or an in-memory encode) and returns the same
+//! [`MiningResult`] whichever engine runs.
 //!
 //! Plus the extensions the paper sketches in §4 and §6: maximal-pattern
 //! mining with MaxMiner-style lookahead ([`maximal`]), periodic association
@@ -25,8 +33,8 @@
 //! # Quickstart
 //!
 //! ```
-//! use ppm_core::{hitset, MineConfig};
-//! use ppm_timeseries::{FeatureCatalog, SeriesBuilder};
+//! use ppm_core::{hitset, Engine, MineConfig};
+//! use ppm_timeseries::{EncodedSeries, FeatureCatalog, SeriesBuilder};
 //!
 //! // Jim reads the newspaper at offset 1 of every 3-slot "day".
 //! let mut catalog = FeatureCatalog::new();
@@ -46,11 +54,19 @@
 //!     println!("{}  count={count} conf={conf:.2}", pattern.display(&catalog));
 //! }
 //! assert_eq!(result.stats.series_scans, 2);
+//!
+//! // Every engine mines the same packed view to the same answer.
+//! let encoded = EncodedSeries::encode(&series);
+//! for engine in Engine::ALL {
+//!     let r = engine.mine(encoded.view(), 3, &config, 1).unwrap();
+//!     assert_eq!(r.frequent, result.frequent, "{engine}");
+//! }
 //! ```
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod engine;
 mod error;
 mod guard;
 mod letters;
@@ -69,7 +85,6 @@ pub mod hitset;
 pub mod maximal;
 pub mod multi;
 pub mod multilevel;
-pub mod parallel;
 pub mod perfect;
 pub mod perturb;
 pub mod rules;
@@ -77,6 +92,7 @@ pub mod stats;
 pub mod streaming;
 pub mod vertical;
 
+pub use engine::Engine;
 pub use error::{Error, Result};
 pub use letters::{Alphabet, LetterIter, LetterSet};
 pub use pattern::{Pattern, PatternDisplay, Symbol};
@@ -84,28 +100,3 @@ pub use result::{FrequentPattern, MiningResult};
 pub use scan::{scan_frequent_letters, scan_frequent_letters_view, MineConfig, Scan1};
 pub use stats::{hit_set_bound, MiningStats, StatsRollup};
 pub use vertical::{Kernel, KernelRace};
-
-/// Which single-period mining algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Algorithm {
-    /// Algorithm 3.1: level-wise Apriori, one scan per level.
-    Apriori,
-    /// Algorithm 3.2: max-subpattern hit set, two scans total.
-    #[default]
-    HitSet,
-}
-
-/// Mines a single period with the chosen algorithm. Both algorithms return
-/// identical pattern sets and counts; they differ in scan count and memory
-/// profile (see `MiningResult::stats`).
-pub fn mine(
-    series: &ppm_timeseries::FeatureSeries,
-    period: usize,
-    config: &MineConfig,
-    algorithm: Algorithm,
-) -> Result<MiningResult> {
-    match algorithm {
-        Algorithm::Apriori => apriori::mine(series, period, config),
-        Algorithm::HitSet => hitset::mine(series, period, config),
-    }
-}

@@ -1,57 +1,29 @@
 //! Algorithm 3.3: multi-period mining by looping the single-period miner.
 
-use ppm_timeseries::{EncodedSeriesView, FeatureSeries};
+use ppm_timeseries::EncodedSeriesView;
 
 use crate::error::Result;
 use crate::multi::{MultiPeriodResult, PeriodRange};
 use crate::scan::MineConfig;
-use crate::{mine, Algorithm};
+use crate::Engine;
 
-/// Mines every period in `range` by running the chosen single-period
-/// algorithm once per period (paper Algorithm 3.3).
+/// Mines every period in `range` of `view` by running the chosen
+/// single-period engine once per period (paper Algorithm 3.3).
 ///
-/// With the hit-set algorithm this costs `2·k` scans for `k` periods;
+/// With the hit-set engine this costs `2·k` scans for `k` periods;
 /// [`super::mine_periods_shared`] brings that down to 2. Periods longer
 /// than the series (no whole segment) are skipped rather than failing, so
 /// a wide exploratory range over a short series still succeeds.
 pub fn mine_periods_looping(
-    series: &FeatureSeries,
-    range: PeriodRange,
-    config: &MineConfig,
-    algorithm: Algorithm,
-) -> Result<MultiPeriodResult> {
-    let mut results = Vec::with_capacity(range.len());
-    let mut total_scans = 0;
-    for period in range.iter() {
-        if period > series.len() {
-            continue;
-        }
-        let r = mine(series, period, config, algorithm)?;
-        total_scans += r.stats.series_scans;
-        results.push(r);
-    }
-    Ok(MultiPeriodResult::complete(results, total_scans))
-}
-
-/// [`mine_periods_looping`] over a borrowed bitmap view: each period is
-/// mined from the packed rows (no series materialized), with the same
-/// per-period scan accounting.
-pub fn mine_periods_looping_view(
     view: EncodedSeriesView<'_>,
     range: PeriodRange,
     config: &MineConfig,
-    algorithm: Algorithm,
+    engine: Engine,
 ) -> Result<MultiPeriodResult> {
     let mut results = Vec::with_capacity(range.len());
     let mut total_scans = 0;
-    for period in range.iter() {
-        if period > view.len() {
-            continue;
-        }
-        let r = match algorithm {
-            Algorithm::Apriori => crate::apriori::mine_view(view, period, config)?,
-            Algorithm::HitSet => crate::hitset::mine_view(view, period, config)?,
-        };
+    for period in range.iter().filter(|&p| p <= view.len()) {
+        let r = engine.mine(view, period, config, 1)?;
         total_scans += r.stats.series_scans;
         results.push(r);
     }
@@ -61,7 +33,7 @@ pub fn mine_periods_looping_view(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppm_timeseries::{FeatureId, SeriesBuilder};
+    use ppm_timeseries::{EncodedSeries, FeatureId, FeatureSeries, SeriesBuilder};
 
     fn fid(i: u32) -> FeatureId {
         FeatureId::from_raw(i)
@@ -88,7 +60,13 @@ mod tests {
         let s = two_period_series(120);
         let range = PeriodRange::new(2, 6).unwrap();
         let config = MineConfig::new(0.9).unwrap();
-        let out = mine_periods_looping(&s, range, &config, Algorithm::HitSet).unwrap();
+        let out = mine_periods_looping(
+            EncodedSeries::encode(&s).view(),
+            range,
+            &config,
+            Engine::HitSet,
+        )
+        .unwrap();
         assert_eq!(out.results.len(), 5);
         // Period 3 must contain the (0, f0) letter, period 4 the (0, f1).
         let p3 = out.for_period(3).unwrap();
@@ -109,24 +87,28 @@ mod tests {
         let s = two_period_series(60);
         let range = PeriodRange::new(2, 5).unwrap();
         let config = MineConfig::new(0.5).unwrap();
-        let out = mine_periods_looping(&s, range, &config, Algorithm::HitSet).unwrap();
+        let out = mine_periods_looping(
+            EncodedSeries::encode(&s).view(),
+            range,
+            &config,
+            Engine::HitSet,
+        )
+        .unwrap();
         assert_eq!(out.total_scans, 2 * 4);
     }
 
     #[test]
-    fn view_looping_equals_series_looping() {
-        use ppm_timeseries::EncodedSeries;
+    fn every_engine_loops_to_the_same_results() {
         let s = two_period_series(120);
         let encoded = EncodedSeries::encode(&s);
         let range = PeriodRange::new(2, 6).unwrap();
         let config = MineConfig::new(0.9).unwrap();
-        for alg in [Algorithm::HitSet, Algorithm::Apriori] {
-            let plain = mine_periods_looping(&s, range, &config, alg).unwrap();
-            let viewed = mine_periods_looping_view(encoded.view(), range, &config, alg).unwrap();
-            assert_eq!(plain.total_scans, viewed.total_scans, "{alg:?}");
-            assert_eq!(plain.results.len(), viewed.results.len());
-            for (a, b) in plain.results.iter().zip(&viewed.results) {
-                assert_eq!(a.frequent, b.frequent, "{alg:?} period {}", a.period);
+        for engine in Engine::ALL {
+            let out = mine_periods_looping(encoded.view(), range, &config, engine).unwrap();
+            assert_eq!(out.results.len(), range.len(), "{engine}");
+            for r in &out.results {
+                let direct = crate::hitset::mine(&s, r.period, &config).unwrap();
+                assert_eq!(r.frequent, direct.frequent, "{engine} period {}", r.period);
             }
         }
     }
@@ -136,7 +118,13 @@ mod tests {
         let s = two_period_series(10);
         let range = PeriodRange::new(8, 15).unwrap();
         let config = MineConfig::new(0.5).unwrap();
-        let out = mine_periods_looping(&s, range, &config, Algorithm::HitSet).unwrap();
+        let out = mine_periods_looping(
+            EncodedSeries::encode(&s).view(),
+            range,
+            &config,
+            Engine::HitSet,
+        )
+        .unwrap();
         assert_eq!(out.results.len(), 3); // periods 8, 9, 10
     }
 
@@ -154,10 +142,10 @@ mod tests {
         }
         let s = b.finish();
         let out = mine_periods_looping(
-            &s,
+            EncodedSeries::encode(&s).view(),
             PeriodRange::new(2, 10).unwrap(),
             &MineConfig::new(0.95).unwrap(),
-            Algorithm::HitSet,
+            Engine::HitSet,
         )
         .unwrap();
         assert_eq!(out.densest_period(), Some(7));

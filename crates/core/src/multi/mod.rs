@@ -8,8 +8,9 @@
 //! with frequent patterns of period 4, so each period must be mined in its
 //! own right. Two strategies:
 //!
-//! * [`mine_periods_looping`] — **Algorithm 3.3**: run the hit-set miner
-//!   per period (2 scans each, `2·k` total);
+//! * [`mine_periods_looping`] — **Algorithm 3.3**: run one
+//!   [`Engine`](crate::Engine) per period (2 scans each for the hit-set and
+//!   vertical engines, `2·k` total);
 //! * [`mine_periods_shared`] — **Algorithm 3.4**: interleave all periods in
 //!   the *same* two physical scans, trading memory (per-period count
 //!   tables and trees held simultaneously) for I/O.
@@ -18,8 +19,8 @@ mod looping;
 mod scheduler;
 mod shared;
 
-pub use looping::{mine_periods_looping, mine_periods_looping_view};
-pub use scheduler::{mine_periods_scheduled, SweepEngine};
+pub use looping::mine_periods_looping;
+pub use scheduler::mine_periods_scheduled;
 pub use shared::{mine_periods_shared, mine_periods_shared_view};
 
 use crate::error::{Error, Result};

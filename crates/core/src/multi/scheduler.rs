@@ -21,6 +21,7 @@
 //! [`Histogram`], merged after the join — recording never synchronizes
 //! the pool).
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -32,35 +33,25 @@ use ppm_timeseries::EncodedSeriesView;
 
 use crate::error::{Error, Result};
 use crate::multi::{MultiPeriodResult, PeriodFailure, PeriodRange};
-use crate::parallel::worker_panic;
 use crate::result::MiningResult;
 use crate::scan::MineConfig;
 use crate::vertical::shard::{plan_shards, ShardedCounter, MIN_SHARD_WORDS};
 use crate::vertical::ShardExecutor;
+use crate::Engine;
 
-/// Which engine each sweep task runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepEngine {
-    /// Algorithm 3.2 per period (two scans each).
-    HitSet,
-    /// Algorithm 3.1 per period (one scan per level).
-    Apriori,
-    /// The vertical bitmap engine per period (two scans each).
-    Vertical,
-}
-
-/// Mines one period from the shared view with the chosen engine.
-fn mine_one(
-    view: EncodedSeriesView<'_>,
-    period: usize,
-    config: &MineConfig,
-    engine: SweepEngine,
-) -> Result<MiningResult> {
-    match engine {
-        SweepEngine::HitSet => crate::hitset::mine_view(view, period, config),
-        SweepEngine::Apriori => crate::apriori::mine_view(view, period, config),
-        SweepEngine::Vertical => crate::vertical::mine_vertical_view(view, period, config),
-    }
+/// Converts a worker panic payload into the typed [`Error::WorkerPanic`],
+/// so a crashing worker cannot take down the caller. Panic payloads are
+/// `&str` or `String` in practice (that is what `panic!` produces); any
+/// other payload gets a placeholder.
+fn worker_panic(payload: Box<dyn Any + Send>) -> Error {
+    let detail = if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    };
+    Error::WorkerPanic { detail }
 }
 
 /// Emits the merged per-period task-latency distribution: a `sweep.tasks`
@@ -216,7 +207,7 @@ pub fn mine_periods_scheduled(
     view: EncodedSeriesView<'_>,
     range: PeriodRange,
     config: &MineConfig,
-    engine: SweepEngine,
+    engine: Engine,
     workers: usize,
 ) -> Result<MultiPeriodResult> {
     let periods: Vec<usize> = range.iter().filter(|&p| p <= view.len()).collect();
@@ -227,7 +218,7 @@ pub fn mine_periods_scheduled(
     // extra workers are useful even past the period count; the other
     // engines have nothing for them to do.
     let workers = match engine {
-        SweepEngine::Vertical => workers.max(1),
+        Engine::Vertical => workers.max(1),
         _ => workers.max(1).min(periods.len()),
     };
     let _span = ppm_observe::span("sweep.schedule");
@@ -242,7 +233,7 @@ pub fn mine_periods_scheduled(
         let mut task_us = Histogram::with_default_precision();
         for &p in &periods {
             let task_start = Instant::now();
-            let outcome = mine_one(view, p, config, engine);
+            let outcome = engine.mine(view, p, config, 1);
             task_us.record(task_start.elapsed().as_micros() as u64);
             match outcome {
                 Ok(r) => results.push(r),
@@ -303,7 +294,7 @@ pub fn mine_periods_scheduled(
                             // Empty bag. Under the vertical engine a period
                             // still in flight may yet inject shard work, so
                             // stay alive until every period is accounted for.
-                            if engine == SweepEngine::Vertical
+                            if engine == Engine::Vertical
                                 && remaining_ref.load(Ordering::Acquire) > 0
                             {
                                 std::thread::yield_now();
@@ -332,7 +323,7 @@ pub fn mine_periods_scheduled(
                         }
                         let start = Instant::now();
                         let outcome = match engine {
-                            SweepEngine::Vertical => {
+                            Engine::Vertical => {
                                 let executor = InjectorExecutor {
                                     deques: deques_ref,
                                     workers,
@@ -344,7 +335,7 @@ pub fn mine_periods_scheduled(
                                     &executor,
                                 )
                             }
-                            _ => mine_one(view, periods_ref[task], config, engine),
+                            _ => engine.mine(view, periods_ref[task], config, 1),
                         };
                         let elapsed_us = start.elapsed().as_micros() as u64;
                         busy_us += elapsed_us;
@@ -427,8 +418,7 @@ mod tests {
     use super::*;
     use ppm_timeseries::{EncodedSeries, FeatureId, SeriesBuilder};
 
-    use crate::multi::mine_periods_looping_view;
-    use crate::Algorithm;
+    use crate::multi::mine_periods_looping;
 
     fn fid(i: u32) -> FeatureId {
         FeatureId::from_raw(i)
@@ -575,11 +565,20 @@ mod tests {
         let config = MineConfig::new(0.2).unwrap();
         let sequential = crate::vertical::mine_vertical_view(encoded.view(), 2, &config).unwrap();
         let swept =
-            mine_periods_scheduled(encoded.view(), range, &config, SweepEngine::Vertical, 4)
-                .unwrap();
+            mine_periods_scheduled(encoded.view(), range, &config, Engine::Vertical, 4).unwrap();
         assert_eq!(swept.results.len(), 1);
         assert_eq!(swept.results[0].frequent, sequential.frequent);
         assert_eq!(swept.results[0].stats, sequential.stats);
+    }
+
+    #[test]
+    fn worker_panic_payloads_become_typed_errors() {
+        let e = worker_panic(Box::new("scan-2 worker blew up"));
+        assert!(matches!(&e, Error::WorkerPanic { detail } if detail.contains("blew up")));
+        let e = worker_panic(Box::new(String::from("heap message")));
+        assert!(matches!(&e, Error::WorkerPanic { detail } if detail == "heap message"));
+        let e = worker_panic(Box::new(42usize));
+        assert!(matches!(&e, Error::WorkerPanic { detail } if detail.contains("non-string")));
     }
 
     // ---- Scheduler output equals the sequential per-period loop. ----
@@ -590,27 +589,10 @@ mod tests {
         let encoded = EncodedSeries::encode(&s);
         let range = PeriodRange::new(2, 9).unwrap();
         let config = MineConfig::new(0.6).unwrap();
-        for (engine, alg) in [
-            (SweepEngine::HitSet, Some(Algorithm::HitSet)),
-            (SweepEngine::Apriori, Some(Algorithm::Apriori)),
-            (SweepEngine::Vertical, None),
-        ] {
+        for engine in Engine::ALL {
             let scheduled =
                 mine_periods_scheduled(encoded.view(), range, &config, engine, 4).unwrap();
-            let sequential = match alg {
-                Some(a) => mine_periods_looping_view(encoded.view(), range, &config, a).unwrap(),
-                None => {
-                    let mut results = Vec::new();
-                    let mut total_scans = 0;
-                    for p in range.iter() {
-                        let r = crate::vertical::mine_vertical_view(encoded.view(), p, &config)
-                            .unwrap();
-                        total_scans += r.stats.series_scans;
-                        results.push(r);
-                    }
-                    MultiPeriodResult::complete(results, total_scans)
-                }
-            };
+            let sequential = mine_periods_looping(encoded.view(), range, &config, engine).unwrap();
             assert_eq!(scheduled.total_scans, sequential.total_scans, "{engine:?}");
             assert_eq!(scheduled.results.len(), sequential.results.len());
             for (a, b) in scheduled.results.iter().zip(&sequential.results) {
@@ -628,11 +610,9 @@ mod tests {
         let range = PeriodRange::new(2, 6).unwrap();
         let config = MineConfig::new(0.7).unwrap();
         let pooled =
-            mine_periods_scheduled(encoded.view(), range, &config, SweepEngine::Vertical, 4)
-                .unwrap();
+            mine_periods_scheduled(encoded.view(), range, &config, Engine::Vertical, 4).unwrap();
         let inline =
-            mine_periods_scheduled(encoded.view(), range, &config, SweepEngine::Vertical, 1)
-                .unwrap();
+            mine_periods_scheduled(encoded.view(), range, &config, Engine::Vertical, 1).unwrap();
         assert_eq!(pooled.results.len(), inline.results.len());
         for (a, b) in pooled.results.iter().zip(&inline.results) {
             assert_eq!(a.frequent, b.frequent, "period {}", a.period);
@@ -648,7 +628,7 @@ mod tests {
             encoded.view(),
             range,
             &MineConfig::default(),
-            SweepEngine::HitSet,
+            Engine::HitSet,
             4,
         )
         .unwrap();
@@ -665,14 +645,9 @@ mod tests {
             .unwrap()
             .with_deadline(std::time::Duration::ZERO);
         for workers in [1, 4] {
-            let out = mine_periods_scheduled(
-                encoded.view(),
-                range,
-                &config,
-                SweepEngine::Vertical,
-                workers,
-            )
-            .unwrap();
+            let out =
+                mine_periods_scheduled(encoded.view(), range, &config, Engine::Vertical, workers)
+                    .unwrap();
             // An already-expired deadline trips every period, but the sweep
             // itself completes with a full per-period accounting.
             assert!(out.results.is_empty(), "workers={workers}");
@@ -719,8 +694,8 @@ mod tests {
             .map(|&(p, _)| p)
             .collect();
         let guarded = MineConfig::new(0.3).unwrap().with_max_tree_nodes(budget);
-        let out = mine_periods_scheduled(encoded.view(), range, &guarded, SweepEngine::HitSet, 4)
-            .unwrap();
+        let out =
+            mine_periods_scheduled(encoded.view(), range, &guarded, Engine::HitSet, 4).unwrap();
         let failed: Vec<usize> = out.failures.iter().map(|f| f.period).collect();
         assert_eq!(failed, expect_fail);
         assert_eq!(out.results.len() + out.failures.len(), range.len());

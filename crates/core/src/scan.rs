@@ -133,9 +133,7 @@ const DENSE_TABLE_LIMIT: usize = 1 << 22;
 /// `(offset, feature)` key space is small and `offset · width + feature`
 /// indexes a flat `Vec<u64>` — no hashing on the hot path of the first
 /// scan. Degenerate inputs (huge periods or raw feature ids) spill to a
-/// `HashMap`. The representation is a pure function of `(period, width)`,
-/// so tables built by parallel workers over the same series always agree
-/// and can be merged with [`CountTable::absorb`].
+/// `HashMap`. The representation is a pure function of `(period, width)`.
 pub(crate) enum CountTable {
     /// Flat table: `counts[offset * width + feature.index()]`.
     Dense { counts: Vec<u64>, width: usize },
@@ -149,8 +147,7 @@ impl CountTable {
         series.max_feature_id().map_or(0, |f| f.index() + 1)
     }
 
-    /// A table for an explicit `(period, width)` key space — used by
-    /// parallel workers so every partial table picks the same layout.
+    /// A table for an explicit `(period, width)` key space.
     pub(crate) fn with_width(period: usize, width: usize) -> Self {
         if width > 0
             && period
@@ -184,30 +181,6 @@ impl CountTable {
                 counts[offset as usize * *width + feature.index()]
             }
             CountTable::Sparse(map) => map.get(&(offset, feature)).copied().unwrap_or(0),
-        }
-    }
-
-    /// Merges `other` (a partial table over the same key space) into self.
-    pub(crate) fn absorb(&mut self, other: CountTable) {
-        match (self, other) {
-            (
-                CountTable::Dense { counts, width },
-                CountTable::Dense {
-                    counts: o,
-                    width: ow,
-                },
-            ) => {
-                debug_assert_eq!(*width, ow, "partial tables disagree on width");
-                for (a, b) in counts.iter_mut().zip(o) {
-                    *a += b;
-                }
-            }
-            (CountTable::Sparse(map), CountTable::Sparse(o)) => {
-                for (k, v) in o {
-                    *map.entry(k).or_insert(0) += v;
-                }
-            }
-            _ => unreachable!("partial tables over one series share a representation"),
         }
     }
 
@@ -289,7 +262,7 @@ pub(crate) fn scan_frequent_letters_rows(
 }
 
 /// Builds a [`Scan1`] from a finished counting table (shared by the
-/// single-period, parallel, and multi-period scan-1 implementations).
+/// single-period and multi-period scan-1 implementations).
 pub(crate) fn scan1_from_counts(
     counts: &CountTable,
     period: usize,
@@ -454,23 +427,6 @@ mod tests {
             let mut frequent = table.frequent_pairs(2);
             frequent.sort();
             assert_eq!(frequent, vec![(0, fid(4))]);
-        }
-    }
-
-    #[test]
-    fn count_table_absorb_merges_partials() {
-        for make in [
-            (|| CountTable::with_width(2, 3)) as fn() -> CountTable,
-            || CountTable::Sparse(HashMap::new()),
-        ] {
-            let mut a = make();
-            a.add(0, fid(1));
-            let mut b = make();
-            b.add(0, fid(1));
-            b.add(1, fid(2));
-            a.absorb(b);
-            assert_eq!(a.get(0, fid(1)), 2);
-            assert_eq!(a.get(1, fid(2)), 1);
         }
     }
 

@@ -38,7 +38,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ppm_timeseries::{EncodedSeries, EncodedSeriesView, FeatureSeries};
+use ppm_timeseries::{EncodedSeriesView, FeatureSeries};
 
 use crate::error::Result;
 use crate::guard::{ResourceGuard, DEADLINE_CHECK_INTERVAL};
@@ -118,7 +118,7 @@ impl VerticalIndex {
 
     /// Projects segments `segments.start..segments.end` of `rows` onto
     /// `alphabet` and sets the matching column bits — the chunked building
-    /// block the parallel miner partitions across workers.
+    /// block the scan-2 fill walks in segment blocks.
     pub(crate) fn fill_segments(
         &mut self,
         rows: Rows<'_>,
@@ -178,17 +178,6 @@ impl VerticalIndex {
         }
         index.weights = Some(weights);
         index
-    }
-
-    /// ORs a partial index (same geometry, disjoint column ranges) into
-    /// self — how the parallel miner merges per-worker bitmaps.
-    pub(crate) fn or_merge(&mut self, other: &VerticalIndex) {
-        debug_assert_eq!(self.n_letters, other.n_letters);
-        debug_assert_eq!(self.n_columns, other.n_columns);
-        debug_assert!(self.weights.is_none() && other.weights.is_none());
-        for (a, &b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a |= b;
-        }
     }
 
     /// The number of columns whose pattern is a superpattern of `p`,
@@ -387,27 +376,6 @@ pub(crate) fn mine_vertical_view_executor(
     mine_vertical_impl(Rows::View(view), period, config, Some(executor))
 }
 
-/// [`mine_vertical`] reusing a pre-built [`EncodedSeries`] cache, so
-/// callers mining several periods (or re-mining for an audit) skip the
-/// per-period merge walk over raw feature slices.
-///
-/// # Panics
-/// Panics if `encoded` does not cover exactly the instants of `series`
-/// (an internal contract: build it with [`EncodedSeries::encode`]).
-pub fn mine_vertical_encoded(
-    series: &FeatureSeries,
-    encoded: &EncodedSeries,
-    period: usize,
-    config: &MineConfig,
-) -> Result<MiningResult> {
-    assert_eq!(
-        encoded.len(),
-        series.len(),
-        "encoded cache must cover the series"
-    );
-    mine_vertical_impl(Rows::View(encoded.view()), period, config, None)
-}
-
 fn mine_vertical_impl(
     rows: Rows<'_>,
     period: usize,
@@ -480,8 +448,8 @@ fn seed_singletons(scan1: &Scan1) -> Vec<FrequentPattern> {
 
 /// The vertical derivation phase: seeds the 1-letter patterns from scan-1
 /// counts, then runs the level-wise loop against `index`, counting each
-/// level in one cache-blocked batch on the selected kernel. Shared by the
-/// sequential and parallel vertical miners.
+/// level in one cache-blocked batch on the selected kernel. The sharded
+/// derive falls back to it when its plan is a single range.
 pub(crate) fn derive_vertical(
     index: &VerticalIndex,
     scan1: &Scan1,
@@ -663,7 +631,7 @@ pub fn kernel_race(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppm_timeseries::{FeatureCatalog, FeatureId, SeriesBuilder};
+    use ppm_timeseries::{EncodedSeries, FeatureCatalog, FeatureId, SeriesBuilder};
 
     use crate::error::Error;
     use crate::pattern::Pattern;
@@ -889,17 +857,6 @@ mod tests {
     }
 
     #[test]
-    fn encoded_cache_changes_nothing() {
-        let series = busy_series(500, 4);
-        let encoded = EncodedSeries::encode(&series);
-        let config = MineConfig::new(0.3).unwrap();
-        let plain = mine_vertical(&series, 5, &config).unwrap();
-        let cached = mine_vertical_encoded(&series, &encoded, 5, &config).unwrap();
-        assert_eq!(plain.frequent, cached.frequent);
-        assert_eq!(plain.stats, cached.stats);
-    }
-
-    #[test]
     fn view_mine_equals_series_mine() {
         let series = busy_series(500, 4);
         let encoded = EncodedSeries::encode(&series);
@@ -960,28 +917,6 @@ mod tests {
         }
         // The empty pattern matches every segment.
         assert_eq!(index.count(&LetterSet::new(n)), scan1.segment_count as u64);
-    }
-
-    #[test]
-    fn or_merge_equals_single_pass_fill() {
-        let series = busy_series(480, 4);
-        let config = MineConfig::new(0.25).unwrap();
-        let scan1 = scan_frequent_letters(&series, 6, &config).unwrap();
-        let m = scan1.segment_count;
-        let whole = VerticalIndex::from_segments(
-            Rows::Series(&series),
-            &scan1,
-            &MiningStats::default(),
-            &ResourceGuard::unlimited(),
-        )
-        .unwrap();
-        let mut merged = VerticalIndex::with_columns(scan1.alphabet.len(), m);
-        for range in [0..m / 3, m / 3..m / 2, m / 2..m] {
-            let mut part = VerticalIndex::with_columns(scan1.alphabet.len(), m);
-            part.fill_segments(Rows::Series(&series), &scan1.alphabet, range);
-            merged.or_merge(&part);
-        }
-        assert_eq!(merged.words, whole.words);
     }
 
     #[test]

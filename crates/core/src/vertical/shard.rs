@@ -6,16 +6,15 @@
 //! candidates plus a partition of the index's word axis into disjoint
 //! ranges, and any thread can claim-and-run a shard. Per-candidate totals
 //! accumulate in atomics; because the word ranges are disjoint, the
-//! partial counts sum **exactly** — the same geometry argument that makes
-//! `or_merge` of the parallel encoder's partial indexes exact, now reused
-//! for counting.
+//! partial counts sum **exactly**.
 //!
 //! Who runs the shards is abstracted behind [`ShardExecutor`]:
 //!
 //! * [`ThreadedExecutor`] — a scoped thread pool per level, used by
-//!   [`mine_parallel_vertical`](crate::parallel::mine_parallel_vertical),
 //!   [`mine_vertical_view_sharded`](super::mine_vertical_view_sharded)
-//!   (the `ppm serve` path), and the kernel race harness.
+//!   (what [`Engine::Vertical`](crate::Engine::Vertical) runs with
+//!   `threads > 1`, for `ppm mine --threads` and `ppm serve
+//!   --mine-threads`) and the kernel race harness.
 //! * The sweep scheduler's injector (in `crate::multi::scheduler`) — shard
 //!   tasks are pushed onto the shared injector deque where idle workers
 //!   steal them, so a single wide period fans out across the same pool

@@ -15,8 +15,9 @@
 //!   mines (and concurrently running tests) fully isolated while costing
 //!   the uninstrumented hot path one thread-local lookup per batched
 //!   call site.
-//! * **Explicit propagation to workers.** Thread-parallel miners capture
-//!   [`current`] before spawning and [`attach`] inside each worker, so
+//! * **Explicit propagation to workers.** Code that hands work to other
+//!   threads (the daemon's query workers) captures
+//!   [`current`] before spawning and [`attach`]es inside each worker, so
 //!   worker spans land in the same sink — nested under the span that was
 //!   open at capture time.
 //! * **Cheap by construction.** Hot loops batch counter increments

@@ -30,12 +30,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ppm_core::{Algorithm, Kernel, MineConfig, MiningResult, Pattern};
+use ppm_core::{Engine, Kernel, MineConfig, MiningResult, Pattern};
 use ppm_observe::{FlightKind, FlightRecorder, Json, NameId};
 use ppm_timeseries::columnar::ColumnarAppender;
 use ppm_timeseries::{
-    Fault, FaultInjectingSource, FaultPlan, FeatureCatalog, MemorySource, QuarantineMode,
-    QuarantiningSource, SeriesBuilder, SeriesSource,
+    EncodedSeries, Fault, FaultInjectingSource, FaultPlan, FeatureCatalog, MemorySource,
+    QuarantineMode, QuarantiningSource, SeriesBuilder, SeriesSource,
 };
 
 use crate::cache::{
@@ -963,7 +963,7 @@ impl Server {
             fingerprint: reader.fingerprint(),
             period: q.period,
             conf_bits: q.min_conf.to_bits(),
-            engine: q.engine.clone(),
+            engine: q.engine_name().to_owned(),
         };
         if !q.no_cache {
             let lookup_started = Instant::now();
@@ -990,24 +990,14 @@ impl Server {
         }
 
         let _span = ppm_observe::span("serve.mine");
-        let mined = match q.engine.as_str() {
-            "apriori" => ppm_core::apriori::mine_view(reader.view(), q.period, &q.config),
+        let mined = match q.engine {
+            Some(engine) => {
+                engine.mine(reader.view(), q.period, &q.config, self.config.mine_threads)
+            }
             // The live index: created from the store on first use, kept
             // current by the `append` op, so re-mining after growth only
             // re-counts patterns the new segments could have moved.
-            "incremental" => store.with_index(q.period, |idx| idx.rederive_dirty(&q.config)),
-            "vertical" if self.config.mine_threads > 1 => {
-                ppm_core::vertical::mine_vertical_view_sharded(
-                    reader.view(),
-                    q.period,
-                    &q.config,
-                    self.config.mine_threads,
-                )
-            }
-            "vertical" => {
-                ppm_core::vertical::mine_vertical_view(reader.view(), q.period, &q.config)
-            }
-            _ => ppm_core::hitset::mine_view(reader.view(), q.period, &q.config),
+            None => store.with_index(q.period, |idx| idx.rederive_dirty(&q.config)),
         };
         let result = mined.map_err(OpError::from_mining)?;
         let cached = to_cached(&result, reader.catalog());
@@ -1057,16 +1047,16 @@ impl Server {
         let (_, report) = qsrc.into_parts();
         let cleaned = builder.finish();
 
-        let mined = match q.engine.as_str() {
-            "apriori" => ppm_core::mine(&cleaned, q.period, &q.config, Algorithm::Apriori),
-            // The cleaned series is not the store, so there is no live
-            // index to consult: incremental degrades to the cold vertical
-            // mine it is bit-identical to.
-            "vertical" | "incremental" => {
-                ppm_core::vertical::mine_vertical(&cleaned, q.period, &q.config)
-            }
-            _ => ppm_core::mine(&cleaned, q.period, &q.config, Algorithm::HitSet),
-        };
+        // The cleaned series is not the store, so there is no live index
+        // to consult: incremental degrades to the cold vertical mine it is
+        // bit-identical to.
+        let engine = q.engine.unwrap_or(Engine::Vertical);
+        let mined = engine.mine(
+            EncodedSeries::encode(&cleaned).view(),
+            q.period,
+            &q.config,
+            self.config.mine_threads,
+        );
         let result = mined.map_err(OpError::from_mining)?;
         let cached = to_cached(&result, reader.catalog());
         Ok(mine_response(q, &cached, "bypass", Some(report.len())))
@@ -1468,7 +1458,9 @@ struct MineQuery {
     store: String,
     period: usize,
     min_conf: f64,
-    engine: String,
+    /// The engine to mine with; `None` is the wire-only `incremental`
+    /// engine, the store's live incremental vertical index.
+    engine: Option<Engine>,
     limit: usize,
     config: MineConfig,
     quarantine: bool,
@@ -1477,6 +1469,11 @@ struct MineQuery {
 }
 
 impl MineQuery {
+    /// The engine's wire name — what the reply echoes and the cache keys.
+    fn engine_name(&self) -> &'static str {
+        self.engine.map_or("incremental", Engine::name)
+    }
+
     fn parse(req: &Json, server: &ServeConfig) -> Result<MineQuery, OpError> {
         let store = req_str(req, "store").map_err(OpError::usage)?.to_owned();
         let period = req_u64(req, "period").map_err(OpError::usage)? as usize;
@@ -1484,19 +1481,15 @@ impl MineQuery {
             return Err(OpError::usage("period must be at least 1".into()));
         }
         let min_conf = req_f64(req, "min_conf").map_err(OpError::usage)?;
-        let engine = req
-            .get("engine")
-            .and_then(Json::as_str)
-            .unwrap_or("hitset")
-            .to_owned();
-        if !matches!(
-            engine.as_str(),
-            "hitset" | "apriori" | "vertical" | "incremental"
-        ) {
-            return Err(OpError::usage(format!(
-                "engine {engine:?} is not servable (hitset|apriori|vertical|incremental)"
-            )));
-        }
+        let engine = match req.get("engine").and_then(Json::as_str) {
+            None => Some(Engine::default()),
+            Some("incremental") => None,
+            Some(name) => Some(Engine::parse(name).ok_or_else(|| {
+                OpError::usage(format!(
+                    "engine {name:?} is not servable (hitset|apriori|vertical|incremental)"
+                ))
+            })?),
+        };
         let limit = req.get("limit").and_then(Json::as_u64).unwrap_or(20) as usize;
         let mut config =
             MineConfig::new(min_conf).map_err(|e| OpError::usage(format!("bad min_conf: {e}")))?;
@@ -1665,7 +1658,7 @@ fn mine_response(
         ("store".to_owned(), Json::Str(q.store.clone())),
         ("period".to_owned(), Json::from_usize(q.period)),
         ("min_conf".to_owned(), Json::Num(q.min_conf)),
-        ("engine".to_owned(), Json::Str(q.engine.clone())),
+        ("engine".to_owned(), Json::Str(q.engine_name().to_owned())),
         ("patterns".to_owned(), Json::from_usize(c.rows.len())),
         ("segments".to_owned(), Json::from_usize(c.segment_count)),
         ("scans".to_owned(), Json::from_usize(c.scans)),

@@ -124,14 +124,14 @@ pub struct ColumnarReader {
 impl ColumnarReader {
     /// Opens `path` with one read: the whole file is pulled into memory,
     /// checksum-verified, and its words section converted in a single pass
-    /// into one word vector. Reports the mapped size through the
-    /// `columnar.mmap_bytes` gauge.
+    /// into one word vector. Reports the bytes read through the
+    /// `columnar.read_bytes` gauge.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let mut r = File::open(path)?;
         let mut bytes = Vec::new();
         r.read_to_end(&mut bytes)?;
         let reader = Self::from_bytes(&bytes)?;
-        ppm_observe::gauge("columnar.mmap_bytes", reader.file_bytes as u64);
+        ppm_observe::gauge("columnar.read_bytes", reader.file_bytes as u64);
         Ok(reader)
     }
 

@@ -8,7 +8,7 @@
 //! instant's feature set is packed into `⌈width/64⌉` words, where bit `f`
 //! of the row is set iff feature id `f` occurs at the instant. Encoding
 //! costs one pass over the CSR series; every later consumer — the shared
-//! multi-period scan, the parallel miner's workers, the vertical engine —
+//! multi-period scan, every single-period engine, the audit re-mines —
 //! reuses the same cache instead of re-merge-walking raw feature slices.
 //!
 //! Feature ids are interned densely by the catalog, so `width` (one past
@@ -46,8 +46,8 @@ impl EncodedSeries {
     }
 
     /// Encodes instants `start..end` of `series` into raw row words — the
-    /// building block for chunked parallel encoding. All chunks of one
-    /// series must share the same `width` (use [`Self::width_for`]).
+    /// building block for chunked encoding. All chunks of one series must
+    /// share the same `width` (use [`Self::width_for`]).
     ///
     /// # Panics
     /// Panics if `start..end` is not a valid instant range.

@@ -13,8 +13,8 @@
 //! * [`FeatureSeries`] — a compact, immutable, CSR-encoded series of feature
 //!   sets, built through [`SeriesBuilder`].
 //! * [`EncodedSeries`] — an optional cache of per-instant feature *bitmaps*
-//!   so repeated membership probes (multi-period mining, parallel workers,
-//!   the vertical engine, audit re-mines) are single bit tests.
+//!   so repeated membership probes (multi-period mining, every
+//!   single-period engine, audit re-mines) are single bit tests.
 //! * [`segment`] — period-segment views (`m = ⌊N/p⌋` whole segments of a
 //!   period `p`), the unit over which pattern confidence is defined.
 //! * [`columnar`] — a binary columnar store whose on-disk layout *is* the

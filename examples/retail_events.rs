@@ -1,15 +1,14 @@
 //! Retail transactions, end to end: raw timestamped event log → ETL onto an
 //! hourly grid → constraint-based mining ("only patterns involving coffee",
 //! "only the morning hours") → periodic rules. Also demonstrates the
-//! parallel two-scan miner on the full weekly period.
+//! vertical engine sharded over threads on the full weekly period.
 //!
 //! Run with: `cargo run --example retail_events`
 
 use partial_periodic::constraints::{mine_constrained, Constraints};
 use partial_periodic::datagen::workloads::retail::{self, store_script};
-use partial_periodic::parallel::mine_parallel;
 use partial_periodic::timeseries::calendar::WeeklyGrid;
-use partial_periodic::{hitset, FeatureCatalog, MineConfig};
+use partial_periodic::{hitset, EncodedSeries, Engine, FeatureCatalog, MineConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One year of store events.
@@ -77,10 +76,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hitset::mine(&series, week, &config)?.alphabet.len()
     );
 
-    // Parallel mining of the full weekly period: identical output, two
-    // partitioned scans.
+    // The vertical engine on 4 threads (the `parallel` spelling): identical
+    // output, two scans, the derivation sharded along the segment axis.
     let sequential = hitset::mine(&series, week, &config)?;
-    let parallel = mine_parallel(&series, week, &config, 4)?;
+    let encoded = EncodedSeries::encode(&series);
+    let parallel = Engine::Vertical.mine(encoded.view(), week, &config, 4)?;
     assert_eq!(sequential.frequent, parallel.frequent);
     println!(
         "\nParallel (4 threads) == sequential: {} patterns, {} scans each",

@@ -9,7 +9,8 @@
 //! workspace so applications can depend on one name.
 //!
 //! * [`core`] (`ppm-core`) — the mining algorithms: single-period Apriori
-//!   (Alg 3.1), max-subpattern hit set (Alg 3.2, two scans), multi-period
+//!   (Alg 3.1), max-subpattern hit set (Alg 3.2, two scans) and the vertical
+//!   bitmap engine, all behind one [`Engine`] dispatch, multi-period
 //!   looping and shared mining (Algs 3.3/3.4), the max-subpattern tree
 //!   (Algs 4.1/4.2), plus maximal patterns, periodic rules, perturbation
 //!   tolerance, multi-level mining and a perfect-periodicity baseline.
@@ -54,13 +55,9 @@ pub use ppm_serve as serve;
 pub use ppm_timeseries as timeseries;
 
 pub use ppm_core::{
-    apriori, audit, closed, constraints, evolution, hitset, maximal, multi, multilevel, parallel,
-    perfect, perturb, rules, stats, streaming, vertical, Algorithm, FrequentPattern, MineConfig,
-    MiningResult, Pattern, Symbol,
+    apriori, audit, closed, constraints, evolution, hitset, maximal, multi, multilevel, perfect,
+    perturb, rules, stats, streaming, vertical, Engine, FrequentPattern, MineConfig, MiningResult,
+    Pattern, Symbol,
 };
 pub use ppm_datagen::SyntheticSpec;
-pub use ppm_timeseries::{FeatureCatalog, FeatureId, FeatureSeries, SeriesBuilder};
-
-/// Mines a single period with the chosen algorithm (re-export of
-/// [`ppm_core::mine`]).
-pub use ppm_core::mine;
+pub use ppm_timeseries::{EncodedSeries, FeatureCatalog, FeatureId, FeatureSeries, SeriesBuilder};

@@ -4,107 +4,90 @@
 //! exactly the same counts — and those counts must agree with brute-force
 //! segment matching and brute-force subset enumeration.
 
-#[cfg(feature = "property-tests")]
-use proptest::prelude::*;
+mod common;
 
-#[cfg(feature = "property-tests")]
+use std::collections::HashMap;
+
+use common::{cases, pick, random_series};
 use partial_periodic::core::hitset::derive::CountStrategy;
-#[cfg(feature = "property-tests")]
 use partial_periodic::core::LetterSet;
-#[cfg(feature = "property-tests")]
+use partial_periodic::datagen::rng::{Rng, SplitMix64};
 use partial_periodic::multi::{mine_periods_looping, mine_periods_shared, PeriodRange};
-use partial_periodic::{apriori, hitset, FeatureCatalog, MineConfig, SeriesBuilder};
-#[cfg(feature = "property-tests")]
-use partial_periodic::{Algorithm, FeatureId};
-
-#[cfg(feature = "property-tests")]
-fn build_series(instants: &[Vec<u8>]) -> partial_periodic::FeatureSeries {
-    let mut b = SeriesBuilder::new();
-    for inst in instants {
-        b.push_instant(inst.iter().map(|&f| FeatureId::from_raw(f as u32)));
-    }
-    b.finish()
-}
+use partial_periodic::{
+    apriori, hitset, EncodedSeries, Engine, FeatureCatalog, FeatureSeries, MineConfig,
+    SeriesBuilder,
+};
 
 /// Instants of 0..=3 features drawn from a 5-feature vocabulary.
-#[cfg(feature = "property-tests")]
-fn series_strategy() -> impl Strategy<Value = Vec<Vec<u8>>> {
-    prop::collection::vec(prop::collection::vec(0u8..5, 0..4), 16..90)
+fn series(rng: &mut SplitMix64) -> FeatureSeries {
+    random_series(rng, 5, 4, 16..90)
 }
 
-#[cfg(feature = "property-tests")]
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn apriori_equals_hitset(
-        instants in series_strategy(),
-        period in 2usize..8,
-        conf_pct in prop::sample::select(vec![25u32, 40, 60, 80, 100]),
-    ) {
-        prop_assume!(instants.len() >= period);
-        let series = build_series(&instants);
+#[test]
+fn apriori_equals_hitset() {
+    for (case, mut rng) in cases("apriori_equals_hitset", 64) {
+        let series = series(&mut rng);
+        let period = rng.random_range(2..8usize);
+        let conf_pct = pick(&mut rng, &[25u32, 40, 60, 80, 100]);
         let config = MineConfig::new(conf_pct as f64 / 100.0).unwrap();
         let a = apriori::mine(&series, period, &config).unwrap();
         let h = hitset::mine(&series, period, &config).unwrap();
-        prop_assert_eq!(&a.frequent, &h.frequent);
-        prop_assert_eq!(a.segment_count, h.segment_count);
-        prop_assert_eq!(a.min_count, h.min_count);
+        assert_eq!(a.frequent, h.frequent, "case {case}");
+        assert_eq!(a.segment_count, h.segment_count, "case {case}");
+        assert_eq!(a.min_count, h.min_count, "case {case}");
         // The hit-set method always takes exactly 2 scans.
-        prop_assert_eq!(h.stats.series_scans, 2);
+        assert_eq!(h.stats.series_scans, 2, "case {case}");
     }
+}
 
-    #[test]
-    fn both_counting_strategies_agree(
-        instants in series_strategy(),
-        period in 2usize..7,
-    ) {
-        prop_assume!(instants.len() >= period);
-        let series = build_series(&instants);
+#[test]
+fn both_counting_strategies_agree() {
+    for (case, mut rng) in cases("counting_strategies", 64) {
+        let series = series(&mut rng);
+        let period = rng.random_range(2..7usize);
         let config = MineConfig::new(0.3).unwrap();
         let walk =
-            hitset::mine_with_strategy(&series, period, &config, CountStrategy::TreeWalk)
-                .unwrap();
+            hitset::mine_with_strategy(&series, period, &config, CountStrategy::TreeWalk).unwrap();
         let linear =
             hitset::mine_with_strategy(&series, period, &config, CountStrategy::LinearScan)
                 .unwrap();
-        prop_assert_eq!(walk.frequent, linear.frequent);
+        assert_eq!(walk.frequent, linear.frequent, "case {case}");
     }
+}
 
-    #[test]
-    fn counts_match_brute_force_matching(
-        instants in series_strategy(),
-        period in 2usize..6,
-    ) {
-        prop_assume!(instants.len() >= period);
-        let series = build_series(&instants);
+#[test]
+fn counts_match_brute_force_matching() {
+    for (case, mut rng) in cases("brute_force_counts", 64) {
+        let series = series(&mut rng);
+        let period = rng.random_range(2..6usize);
         let config = MineConfig::new(0.4).unwrap();
         let result = hitset::mine(&series, period, &config).unwrap();
         let segments = series.segments(period).unwrap();
         for (pattern, count, _) in result.patterns() {
-            let brute =
-                segments.iter().filter(|s| pattern.matches_segment(s)).count() as u64;
-            prop_assert_eq!(count, brute);
+            let brute = segments
+                .iter()
+                .filter(|s| pattern.matches_segment(s))
+                .count() as u64;
+            assert_eq!(count, brute, "case {case}");
         }
     }
+}
 
-    #[test]
-    fn result_is_complete_over_the_alphabet(
-        instants in series_strategy(),
-        period in 2usize..5,
-    ) {
-        // Enumerate *every* subset of the frequent-letter alphabet (the
-        // alphabet is small for these inputs) and check that exactly the
-        // threshold-meeting subsets are reported.
-        prop_assume!(instants.len() >= period);
-        let series = build_series(&instants);
+/// Enumerates *every* subset of the frequent-letter alphabet (small for
+/// these inputs) and checks that exactly the threshold-meeting subsets
+/// are reported.
+#[test]
+fn result_is_complete_over_the_alphabet() {
+    for (case, mut rng) in cases("complete_over_alphabet", 64) {
+        let series = series(&mut rng);
+        let period = rng.random_range(2..5usize);
         let config = MineConfig::new(0.5).unwrap();
         let result = hitset::mine(&series, period, &config).unwrap();
         let n = result.alphabet.len();
-        prop_assume!(n <= 12);
+        if n > 12 {
+            continue;
+        }
         let segments = series.segments(period).unwrap();
-
-        use std::collections::HashMap;
         let reported: HashMap<Vec<usize>, u64> = result
             .frequent
             .iter()
@@ -115,43 +98,49 @@ proptest! {
             let letters: Vec<usize> = (0..n).filter(|i| mask & (1 << i) != 0).collect();
             let set = LetterSet::from_indices(n, letters.iter().copied());
             let pattern = partial_periodic::Pattern::from_letter_set(&result.alphabet, &set);
-            let brute =
-                segments.iter().filter(|s| pattern.matches_segment(s)).count() as u64;
+            let brute = segments
+                .iter()
+                .filter(|s| pattern.matches_segment(s))
+                .count() as u64;
             let frequent = brute >= result.min_count;
             match reported.get(&letters) {
                 Some(&count) => {
-                    prop_assert!(frequent, "infrequent pattern reported: {letters:?}");
-                    prop_assert_eq!(count, brute);
+                    assert!(
+                        frequent,
+                        "case {case}: infrequent pattern reported: {letters:?}"
+                    );
+                    assert_eq!(count, brute, "case {case}");
                 }
-                None => prop_assert!(
+                None => assert!(
                     !frequent,
-                    "missing frequent pattern {letters:?} (count {brute} >= {})",
+                    "case {case}: missing frequent pattern {letters:?} (count {brute} >= {})",
                     result.min_count
                 ),
             }
         }
     }
+}
 
-    #[test]
-    fn shared_equals_looping(
-        instants in series_strategy(),
-        lo in 2usize..5,
-        span in 0usize..4,
-    ) {
-        let hi = lo + span;
-        prop_assume!(instants.len() >= hi);
-        let series = build_series(&instants);
+/// Shared mining (Alg 3.4) equals looping (Alg 3.3) with every engine.
+#[test]
+fn shared_equals_looping() {
+    for (case, mut rng) in cases("shared_equals_looping", 64) {
+        let series = series(&mut rng);
+        let lo = rng.random_range(2..5usize);
+        let hi = lo + rng.random_range(0..4usize);
         let range = PeriodRange::new(lo, hi).unwrap();
         let config = MineConfig::new(0.5).unwrap();
         let shared = mine_periods_shared(&series, range, &config).unwrap();
-        let looped =
-            mine_periods_looping(&series, range, &config, Algorithm::HitSet).unwrap();
-        prop_assert_eq!(shared.results.len(), looped.results.len());
-        for (s, l) in shared.results.iter().zip(&looped.results) {
-            prop_assert_eq!(s.period, l.period);
-            prop_assert_eq!(&s.frequent, &l.frequent);
+        assert_eq!(shared.total_scans, 2, "case {case}");
+        let encoded = EncodedSeries::encode(&series);
+        for engine in Engine::ALL {
+            let looped = mine_periods_looping(encoded.view(), range, &config, engine).unwrap();
+            assert_eq!(shared.results.len(), looped.results.len(), "case {case}");
+            for (s, l) in shared.results.iter().zip(&looped.results) {
+                assert_eq!(s.period, l.period, "case {case}");
+                assert_eq!(s.frequent, l.frequent, "case {case} {engine}");
+            }
         }
-        prop_assert_eq!(shared.total_scans, 2);
     }
 }
 

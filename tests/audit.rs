@@ -8,15 +8,14 @@
 
 use partial_periodic::audit::{audit, cross_check, verify_claims, AuditMode, Violation};
 use partial_periodic::core::export::{parse_patterns_tsv, patterns_tsv};
-use partial_periodic::parallel::{mine_parallel, mine_parallel_vertical};
 use partial_periodic::streaming::mine_hitset_streaming;
 use partial_periodic::timeseries::{
     EncodedSeries, Fault, FaultInjectingSource, FaultPlan, MemorySource, QuarantineMode,
     QuarantiningSource, SeriesSource,
 };
-use partial_periodic::vertical::{mine_vertical, mine_vertical_encoded};
+use partial_periodic::vertical::mine_vertical;
 use partial_periodic::{
-    apriori, hitset, FeatureCatalog, FeatureId, FeatureSeries, MineConfig, MiningResult,
+    apriori, hitset, Engine, FeatureCatalog, FeatureId, FeatureSeries, MineConfig, MiningResult,
     SeriesBuilder,
 };
 
@@ -80,11 +79,16 @@ fn honest_runs_audit_clean_for_every_engine() {
                 &series,
                 &catalog,
             );
-            assert_clean(
-                &mine_parallel(&series, p, &config, 3).unwrap(),
-                &series,
-                &catalog,
-            );
+            let encoded = EncodedSeries::encode(&series);
+            for engine in Engine::ALL {
+                for threads in [1, 3] {
+                    assert_clean(
+                        &engine.mine(encoded.view(), p, &config, threads).unwrap(),
+                        &series,
+                        &catalog,
+                    );
+                }
+            }
             let mut src = MemorySource::new(&series);
             assert_clean(
                 &mine_hitset_streaming(&mut src, p, &config).unwrap(),
@@ -199,11 +203,15 @@ fn vertical_engine_is_bit_identical_across_workloads() {
             let apriori = apriori::mine(&series, p, &config).unwrap();
             let vertical = mine_vertical(&series, p, &config).unwrap();
             let encoded = EncodedSeries::encode(&series);
-            let cached = mine_vertical_encoded(&series, &encoded, p, &config).unwrap();
-            let threaded = mine_parallel_vertical(&series, p, &config, 3).unwrap();
+            let viewed = Engine::Vertical
+                .mine(encoded.view(), p, &config, 1)
+                .unwrap();
+            let threaded = Engine::Vertical
+                .mine(encoded.view(), p, &config, 3)
+                .unwrap();
             for (name, result) in [
                 ("vertical", &vertical),
-                ("vertical+cache", &cached),
+                ("vertical+view", &viewed),
                 ("vertical+threads", &threaded),
             ] {
                 assert_eq!(

@@ -2,66 +2,53 @@
 //! periodic rules, perturbation tolerance, multi-level mining, and the
 //! perfect-periodicity baseline.
 
-#[cfg(feature = "property-tests")]
-use proptest::prelude::*;
+mod common;
 
+use common::{cases, pick, random_series};
 use partial_periodic::core::perfect::mine_perfect;
-#[cfg(feature = "property-tests")]
+use partial_periodic::datagen::rng::{Rng, SplitMix64};
 use partial_periodic::maximal::{maximal_of, mine_maximal};
 use partial_periodic::multi::PeriodRange;
 use partial_periodic::multilevel::mine_multilevel;
 use partial_periodic::timeseries::Taxonomy;
 use partial_periodic::{
-    hitset, perturb, rules, Algorithm, FeatureCatalog, FeatureId, MineConfig, SeriesBuilder,
+    hitset, perturb, rules, Engine, FeatureCatalog, FeatureId, FeatureSeries, MineConfig,
+    SeriesBuilder,
 };
 
-#[cfg(feature = "property-tests")]
-fn build_series(instants: &[Vec<u8>]) -> partial_periodic::FeatureSeries {
-    let mut b = SeriesBuilder::new();
-    for inst in instants {
-        b.push_instant(inst.iter().map(|&f| FeatureId::from_raw(f as u32)));
-    }
-    b.finish()
+fn series(rng: &mut SplitMix64) -> FeatureSeries {
+    random_series(rng, 5, 4, 16..80)
 }
 
-#[cfg(feature = "property-tests")]
-fn series_strategy() -> impl Strategy<Value = Vec<Vec<u8>>> {
-    prop::collection::vec(prop::collection::vec(0u8..5, 0..4), 16..80)
-}
-
-#[cfg(feature = "property-tests")]
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// MaxMiner-over-hit-set equals filtering the full result.
-    #[test]
-    fn maxminer_equals_reference(
-        instants in series_strategy(),
-        period in 2usize..7,
-        conf_pct in prop::sample::select(vec![30u32, 50, 75, 100]),
-    ) {
-        prop_assume!(instants.len() >= period);
-        let series = build_series(&instants);
+/// MaxMiner-over-hit-set equals filtering the full result.
+#[test]
+fn maxminer_equals_reference() {
+    for (case, mut rng) in cases("maxminer", 48) {
+        let series = series(&mut rng);
+        let period = rng.random_range(2..7usize);
+        let conf_pct = pick(&mut rng, &[30u32, 50, 75, 100]);
         let config = MineConfig::new(conf_pct as f64 / 100.0).unwrap();
         let full = hitset::mine(&series, period, &config).unwrap();
         let mut expect = maximal_of(&full);
         expect.sort_by(|a, b| {
             a.letters.len().cmp(&b.letters.len()).then_with(|| {
-                a.letters.iter().collect::<Vec<_>>().cmp(&b.letters.iter().collect())
+                a.letters
+                    .iter()
+                    .collect::<Vec<_>>()
+                    .cmp(&b.letters.iter().collect())
             })
         });
         let got = mine_maximal(&series, period, &config).unwrap();
-        prop_assert_eq!(got.maximal, expect);
+        assert_eq!(got.maximal, expect, "case {case}");
     }
+}
 
-    /// Rule confidences are exactly count(P)/count(P \ {l}).
-    #[test]
-    fn rule_confidences_are_exact(
-        instants in series_strategy(),
-        period in 2usize..6,
-    ) {
-        prop_assume!(instants.len() >= period);
-        let series = build_series(&instants);
+/// Rule confidences are exactly count(P)/count(P \ {l}).
+#[test]
+fn rule_confidences_are_exact() {
+    for (case, mut rng) in cases("rule_confidences", 48) {
+        let series = series(&mut rng);
+        let period = rng.random_range(2..6usize);
         let config = MineConfig::new(0.3).unwrap();
         let result = hitset::mine(&series, period, &config).unwrap();
         let segments = series.segments(period).unwrap();
@@ -73,23 +60,21 @@ proptest! {
                 segments.iter().filter(|s| p.matches_segment(s)).count() as f64
             };
             let expect = count(&whole) / count(&rule.antecedent);
-            prop_assert!((rule.confidence - expect).abs() < 1e-12);
-            prop_assert_eq!(rule.support_count, count(&whole) as u64);
+            assert!((rule.confidence - expect).abs() < 1e-12, "case {case}");
+            assert_eq!(rule.support_count, count(&whole) as u64, "case {case}");
         }
     }
+}
 
-    /// Perfect mining equals hit-set F1 at confidence 1.0 for every period.
-    #[test]
-    fn perfect_equals_hitset_at_one(
-        instants in series_strategy(),
-        period in 2usize..7,
-    ) {
-        prop_assume!(instants.len() >= period);
-        let series = build_series(&instants);
-        let perfect =
-            mine_perfect(&series, PeriodRange::single(period).unwrap()).unwrap();
+/// Perfect mining equals hit-set F1 at confidence 1.0 for every period.
+#[test]
+fn perfect_equals_hitset_at_one() {
+    for (case, mut rng) in cases("perfect_at_one", 48) {
+        let series = series(&mut rng);
+        let period = rng.random_range(2..7usize);
+        let perfect = mine_perfect(&series, PeriodRange::single(period).unwrap()).unwrap();
         let full = hitset::mine(&series, period, &MineConfig::new(1.0).unwrap()).unwrap();
-        prop_assert_eq!(&perfect[0].alphabet, &full.alphabet);
+        assert_eq!(perfect[0].alphabet, full.alphabet, "case {case}");
     }
 }
 
@@ -113,7 +98,7 @@ fn perturbation_recovery() {
     let exact = hitset::mine(&series, 6, &config).unwrap();
     assert!(exact.is_empty());
     let tolerant =
-        perturb::mine_with_slot_enlargement(&series, 6, 1, &config, Algorithm::HitSet).unwrap();
+        perturb::mine_with_slot_enlargement(&series, 6, 1, &config, Engine::HitSet).unwrap();
     assert!(!tolerant.is_empty());
     assert!(tolerant
         .alphabet
@@ -156,7 +141,7 @@ fn multilevel_drill_down_consistency() {
     let series = b.finish();
 
     let config = MineConfig::new(0.7).unwrap();
-    let levels = mine_multilevel(&series, &tax, 2, 2, &config, Algorithm::HitSet).unwrap();
+    let levels = mine_multilevel(&series, &tax, 2, 2, &config, Engine::HitSet).unwrap();
     assert_eq!(levels.len(), 3);
 
     // Depth 0: drink@0 and food@1 both perfect.

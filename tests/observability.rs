@@ -7,7 +7,9 @@
 use std::sync::{Arc, Mutex};
 
 use partial_periodic::observe::{self, Collector, Event, Json, JsonLinesSink, NoopSink};
-use partial_periodic::{apriori, hitset, parallel, FeatureId, FeatureSeries, MineConfig};
+use partial_periodic::{
+    apriori, hitset, EncodedSeries, Engine, FeatureId, FeatureSeries, MineConfig,
+};
 use partial_periodic::{MiningResult, SeriesBuilder};
 
 fn fid(i: u32) -> FeatureId {
@@ -117,49 +119,48 @@ fn apriori_levels_match_stats() {
     );
 }
 
-/// Worker spans in the parallel miner are parented under the coordinator's
-/// scan spans even though they run on other threads, and the segment
-/// counter still totals exactly `m` (not once per scan).
+/// A vertical mine sharded over threads reports its shard plan, shard
+/// tasks and segment counter to the caller's collector — the telemetry is
+/// emitted by the coordinating thread, under its `vertical.derive` span —
+/// and mines the same patterns as the hit-set engine.
 #[test]
-fn parallel_worker_spans_nest_under_the_coordinator() {
-    let series = fixed_series();
+fn sharded_vertical_telemetry_reaches_the_calling_collector() {
+    // 8192 segments × 16 letters: wide enough for the default shard plan
+    // (two 64-word shards) to engage.
+    let mut b = SeriesBuilder::new();
+    let mut x = 3u64;
+    for _ in 0..8192 * 4 {
+        let mut feats = Vec::new();
+        for f in 0..4 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            if (x >> 33) % 10 < 8 {
+                feats.push(fid(f));
+            }
+        }
+        b.push_instant(feats);
+    }
+    let series = b.finish();
+    let encoded = EncodedSeries::encode(&series);
     let config = MineConfig::new(0.5).unwrap();
     let collector = Arc::new(Collector::new());
     let result = {
         let _guard = observe::install(collector.clone());
-        parallel::mine_parallel(&series, 6, &config, 3).unwrap()
+        Engine::Vertical
+            .mine(encoded.view(), 4, &config, 2)
+            .unwrap()
     };
-    let events = collector.events();
-    let span_id = |name: &str| {
-        events
-            .iter()
-            .find_map(|e| match e {
-                Event::SpanStart { id, name: n, .. } if *n == name => Some(*id),
-                _ => None,
-            })
-            .unwrap_or_else(|| panic!("no {name} span"))
-    };
-    let scan2 = span_id("parallel.scan2");
-    let workers: Vec<Option<u64>> = events
-        .iter()
-        .filter_map(|e| match e {
-            Event::SpanStart {
-                parent,
-                name: "parallel.worker.scan2",
-                ..
-            } => Some(*parent),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(workers.len(), 3);
-    assert!(
-        workers.iter().all(|p| *p == Some(scan2)),
-        "workers must be parented under parallel.scan2: {workers:?}"
-    );
     assert_eq!(
-        collector.counter_total("hitset.segments"),
+        result.frequent,
+        hitset::mine(&series, 4, &config).unwrap().frequent
+    );
+    let gauges = collector.gauge_maxima();
+    assert_eq!(gauges.get("vertical.shards"), Some(&2), "{gauges:?}");
+    assert!(collector.counter_total("vertical.shard_tasks") >= 2);
+    assert_eq!(
+        collector.counter_total("vertical.segments"),
         result.segment_count as u64
     );
+    assert!(collector.finished_span_names().contains(&"vertical.derive"));
 }
 
 /// A tree-budget abort surfaces as a structured guard event.

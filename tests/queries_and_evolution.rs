@@ -1,17 +1,17 @@
 //! Integration tests across the newer modules: event-log ETL, constrained
-//! mining, windowed evolution mining, and the parallel miner — composed
-//! into full pipelines.
+//! mining, windowed evolution mining, and the multi-threaded vertical
+//! engine — composed into full pipelines.
 
-#[cfg(feature = "property-tests")]
-use proptest::prelude::*;
+mod common;
 
-#[cfg(feature = "property-tests")]
+use common::{cases, random_series};
 use partial_periodic::constraints::{mine_constrained, Constraints};
+use partial_periodic::datagen::rng::Rng;
 use partial_periodic::evolution::{mine_windows, Drift, WindowSpec};
-use partial_periodic::parallel::mine_parallel;
 use partial_periodic::timeseries::events::EventLog;
 use partial_periodic::{
-    hitset, FeatureCatalog, FeatureId, MineConfig, SeriesBuilder, SyntheticSpec,
+    hitset, EncodedSeries, Engine, FeatureCatalog, FeatureId, MineConfig, SeriesBuilder,
+    SyntheticSpec,
 };
 
 fn fid(i: u32) -> FeatureId {
@@ -42,30 +42,23 @@ fn event_log_to_weekly_pattern() {
     assert!(result.frequent.iter().all(|fp| fp.count == 30));
 }
 
-#[cfg(feature = "property-tests")]
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
-
-    /// Constrained mining equals post-filtering an unconstrained run, for
-    /// arbitrary series and random constraint combinations.
-    #[test]
-    fn constrained_equals_filtered(
-        instants in prop::collection::vec(prop::collection::vec(0u8..5, 0..4), 20..70),
-        period in 2usize..6,
-        offset_mask in 1u8..=15,
-        cap in 1usize..5,
-    ) {
-        prop_assume!(instants.len() >= period);
-        let mut b = SeriesBuilder::new();
-        for inst in &instants {
-            b.push_instant(inst.iter().map(|&f| fid(f as u32)));
-        }
-        let series = b.finish();
+/// Constrained mining equals post-filtering an unconstrained run, for
+/// arbitrary series and random constraint combinations.
+#[test]
+fn constrained_equals_filtered() {
+    for (case, mut rng) in cases("constrained_equals_filtered", 40) {
+        let series = random_series(&mut rng, 5, 4, 20..70);
+        let period = rng.random_range(2..6usize);
+        let offset_mask = rng.random_range(1..=15u32);
+        let cap = rng.random_range(1..5usize);
         let config = MineConfig::new(0.4).unwrap();
 
-        let offsets: Vec<usize> =
-            (0..period).filter(|&o| offset_mask & (1 << (o % 4)) != 0).collect();
-        prop_assume!(!offsets.is_empty());
+        let offsets: Vec<usize> = (0..period)
+            .filter(|&o| offset_mask & (1 << (o % 4)) != 0)
+            .collect();
+        if offsets.is_empty() {
+            continue;
+        }
         let constraints = Constraints::none()
             .at_offsets(offsets.iter().copied())
             .max_letters(cap);
@@ -75,7 +68,13 @@ proptest! {
 
         // Expected: plain patterns whose letters all sit at admitted
         // offsets and whose size is within the cap.
-        let mut expect: Vec<(Vec<(usize, FeatureId)>, u64)> = plain
+        let keyed = |r: &partial_periodic::MiningResult, fp: &partial_periodic::FrequentPattern| {
+            let mut key: Vec<(usize, FeatureId)> =
+                fp.letters.iter().map(|i| r.alphabet.letter(i)).collect();
+            key.sort_unstable();
+            (key, fp.count)
+        };
+        let mut expect: Vec<_> = plain
             .frequent
             .iter()
             .filter(|fp| {
@@ -85,77 +84,59 @@ proptest! {
                         offsets.contains(&o)
                     })
             })
-            .map(|fp| {
-                let mut key: Vec<(usize, FeatureId)> =
-                    fp.letters.iter().map(|i| plain.alphabet.letter(i)).collect();
-                key.sort_unstable();
-                (key, fp.count)
-            })
+            .map(|fp| keyed(&plain, fp))
             .collect();
         expect.sort();
-        let mut got: Vec<(Vec<(usize, FeatureId)>, u64)> = constrained
+        let mut got: Vec<_> = constrained
             .frequent
             .iter()
-            .map(|fp| {
-                let mut key: Vec<(usize, FeatureId)> =
-                    fp.letters.iter().map(|i| constrained.alphabet.letter(i)).collect();
-                key.sort_unstable();
-                (key, fp.count)
-            })
+            .map(|fp| keyed(&constrained, fp))
             .collect();
         got.sort();
-        prop_assert_eq!(got, expect);
+        assert_eq!(got, expect, "case {case}");
     }
+}
 
-    /// Required-letter queries equal post-filtering too.
-    #[test]
-    fn required_equals_filtered(
-        instants in prop::collection::vec(prop::collection::vec(0u8..4, 0..3), 24..60),
-        period in 2usize..5,
-    ) {
-        prop_assume!(instants.len() >= period);
-        let mut b = SeriesBuilder::new();
-        for inst in &instants {
-            b.push_instant(inst.iter().map(|&f| fid(f as u32)));
-        }
-        let series = b.finish();
+/// Required-letter queries equal post-filtering too.
+#[test]
+fn required_equals_filtered() {
+    for (case, mut rng) in cases("required_equals_filtered", 40) {
+        let series = random_series(&mut rng, 4, 3, 24..60);
+        let period = rng.random_range(2..5usize);
         let config = MineConfig::new(0.35).unwrap();
         let plain = hitset::mine(&series, period, &config).unwrap();
-        prop_assume!(!plain.is_empty());
+        if plain.is_empty() {
+            continue;
+        }
         // Require the first frequent letter.
         let (o, f) = plain.alphabet.letter(0);
-        let constrained = mine_constrained(
-            &series,
-            period,
-            &config,
-            &Constraints::none().require(o, f),
-        )
-        .unwrap();
+        let constrained =
+            mine_constrained(&series, period, &config, &Constraints::none().require(o, f)).unwrap();
         let expect = plain
             .frequent
             .iter()
             .filter(|fp| fp.letters.contains(0))
             .count();
-        prop_assert_eq!(constrained.len(), expect);
+        assert_eq!(constrained.len(), expect, "case {case}");
     }
+}
 
-    /// Parallel mining is identical to sequential for any thread count.
-    #[test]
-    fn parallel_equals_sequential_any_threads(
-        instants in prop::collection::vec(prop::collection::vec(0u8..5, 0..4), 30..100),
-        period in 2usize..7,
-        threads in 1usize..9,
-    ) {
-        prop_assume!(instants.len() >= period);
-        let mut b = SeriesBuilder::new();
-        for inst in &instants {
-            b.push_instant(inst.iter().map(|&f| fid(f as u32)));
-        }
-        let series = b.finish();
+/// The vertical engine sharded over any thread count (the `parallel`
+/// spelling) is identical to the sequential hit-set miner.
+#[test]
+fn parallel_equals_sequential_any_threads() {
+    for (case, mut rng) in cases("parallel_any_threads", 40) {
+        let series = random_series(&mut rng, 5, 4, 30..100);
+        let period = rng.random_range(2..7usize);
+        let threads = rng.random_range(1..9usize);
         let config = MineConfig::new(0.4).unwrap();
         let seq = hitset::mine(&series, period, &config).unwrap();
-        let par = mine_parallel(&series, period, &config, threads).unwrap();
-        prop_assert_eq!(seq.frequent, par.frequent);
+        let encoded = EncodedSeries::encode(&series);
+        let par = Engine::parse("parallel")
+            .unwrap()
+            .mine(encoded.view(), period, &config, threads)
+            .unwrap();
+        assert_eq!(seq.frequent, par.frequent, "case {case} threads={threads}");
     }
 }
 
@@ -197,8 +178,8 @@ fn evolution_on_synthetic_data() {
     assert_eq!(track.first_seen(), Some(n / 2));
 }
 
-/// The whole stack composes: events → series → constrained parallel-mined
-/// weekly patterns with rules.
+/// The whole stack composes: events → series → weekly patterns mined by
+/// the multi-threaded vertical engine, with rules.
 #[test]
 fn full_pipeline_composes() {
     use partial_periodic::datagen::workloads::retail::{generate_events, store_script};
@@ -210,7 +191,10 @@ fn full_pipeline_composes() {
     let week = 7 * 24;
     let config = MineConfig::new(0.7).unwrap();
 
-    let par = mine_parallel(&series, week, &config, 4).unwrap();
+    let encoded = EncodedSeries::encode(&series);
+    let par = Engine::Vertical
+        .mine(encoded.view(), week, &config, 4)
+        .unwrap();
     let seq = hitset::mine(&series, week, &config).unwrap();
     assert_eq!(par.frequent, seq.frequent);
     assert!(!par.is_empty());

@@ -2,26 +2,15 @@
 //! patterns: stream-format round trips, disk mining equivalence, and the
 //! closed-set compression laws.
 
-#[cfg(feature = "property-tests")]
-use proptest::prelude::*;
+mod common;
 
-#[cfg(feature = "property-tests")]
-use partial_periodic::closed::closed_of;
-use partial_periodic::closed::mine_closed;
-#[cfg(feature = "property-tests")]
-use partial_periodic::streaming::mine_apriori_streaming;
-use partial_periodic::streaming::mine_hitset_streaming;
+use common::{cases, random_series};
+use partial_periodic::closed::{closed_of, mine_closed};
+use partial_periodic::datagen::rng::Rng;
+use partial_periodic::streaming::{mine_apriori_streaming, mine_hitset_streaming};
 use partial_periodic::timeseries::storage::stream::{FileSource, StreamWriter};
-#[cfg(feature = "property-tests")]
 use partial_periodic::timeseries::SeriesSource;
-use partial_periodic::{hitset, MineConfig, SyntheticSpec};
-#[cfg(feature = "property-tests")]
-use partial_periodic::{FeatureCatalog, FeatureId, SeriesBuilder};
-
-#[cfg(feature = "property-tests")]
-fn fid(i: u32) -> FeatureId {
-    FeatureId::from_raw(i)
-}
+use partial_periodic::{hitset, FeatureCatalog, MineConfig, SyntheticSpec};
 
 fn temp(tag: &str) -> std::path::PathBuf {
     static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -32,43 +21,29 @@ fn temp(tag: &str) -> std::path::PathBuf {
     ))
 }
 
-#[cfg(feature = "property-tests")]
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Any series survives a .ppmstream round trip bit-for-bit.
-    #[test]
-    fn stream_format_round_trips(
-        instants in prop::collection::vec(prop::collection::vec(0u32..300, 0..6), 0..120),
-    ) {
-        let mut b = SeriesBuilder::new();
-        for inst in &instants {
-            b.push_instant(inst.iter().map(|&f| fid(f)));
-        }
-        let series = b.finish();
+/// Any series survives a .ppmstream round trip bit-for-bit.
+#[test]
+fn stream_format_round_trips() {
+    let catalog = FeatureCatalog::with_synthetic_features(300);
+    for (case, mut rng) in cases("stream_round_trip", 32) {
+        let series = random_series(&mut rng, 300, 6, 0..120);
         let path = temp("prop");
-        let catalog = FeatureCatalog::with_synthetic_features(300);
         StreamWriter::create(&path, &catalog)
             .and_then(|w| w.write_series(&series))
             .unwrap();
         let src = FileSource::open(&path).unwrap();
-        prop_assert_eq!(src.instant_count(), series.len());
-        prop_assert_eq!(src.materialize().unwrap(), series);
+        assert_eq!(src.instant_count(), series.len(), "case {case}");
+        assert_eq!(src.materialize().unwrap(), series, "case {case}");
         std::fs::remove_file(path).ok();
     }
+}
 
-    /// Disk mining equals in-memory mining; scan counts are physical.
-    #[test]
-    fn disk_mining_equals_memory(
-        instants in prop::collection::vec(prop::collection::vec(0u32..5, 0..4), 20..80),
-        period in 2usize..6,
-    ) {
-        prop_assume!(instants.len() >= period);
-        let mut b = SeriesBuilder::new();
-        for inst in &instants {
-            b.push_instant(inst.iter().map(|&f| fid(f)));
-        }
-        let series = b.finish();
+/// Disk mining equals in-memory mining; scan counts are physical.
+#[test]
+fn disk_mining_equals_memory() {
+    for (case, mut rng) in cases("disk_mining", 32) {
+        let series = random_series(&mut rng, 5, 4, 20..80);
+        let period = rng.random_range(2..6usize);
         let config = MineConfig::new(0.4).unwrap();
         let expect = hitset::mine(&series, period, &config).unwrap();
 
@@ -79,35 +54,30 @@ proptest! {
 
         let mut src = FileSource::open(&path).unwrap();
         let got = mine_hitset_streaming(&mut src, period, &config).unwrap();
-        prop_assert_eq!(&got.frequent, &expect.frequent);
-        prop_assert_eq!(src.scans_performed(), 2);
+        assert_eq!(got.frequent, expect.frequent, "case {case}");
+        assert_eq!(src.scans_performed(), 2, "case {case}");
 
         let mut src = FileSource::open(&path).unwrap();
         let ap = mine_apriori_streaming(&mut src, period, &config).unwrap();
-        prop_assert_eq!(&ap.frequent, &expect.frequent);
-        prop_assert_eq!(src.scans_performed(), ap.stats.series_scans);
+        assert_eq!(ap.frequent, expect.frequent, "case {case}");
+        assert_eq!(src.scans_performed(), ap.stats.series_scans, "case {case}");
         std::fs::remove_file(path).ok();
     }
+}
 
-    /// Closed mining is a lossless compression: every frequent pattern's
-    /// count equals the count of its smallest closed superpattern.
-    #[test]
-    fn closed_set_recovers_all_counts(
-        instants in prop::collection::vec(prop::collection::vec(0u32..5, 0..4), 20..70),
-        period in 2usize..6,
-    ) {
-        prop_assume!(instants.len() >= period);
-        let mut b = SeriesBuilder::new();
-        for inst in &instants {
-            b.push_instant(inst.iter().map(|&f| fid(f)));
-        }
-        let series = b.finish();
+/// Closed mining is a lossless compression: every frequent pattern's
+/// count equals the count of its smallest closed superpattern.
+#[test]
+fn closed_set_recovers_all_counts() {
+    for (case, mut rng) in cases("closed_recovers", 32) {
+        let series = random_series(&mut rng, 5, 4, 20..70);
+        let period = rng.random_range(2..6usize);
         let config = MineConfig::new(0.35).unwrap();
         let full = hitset::mine(&series, period, &config).unwrap();
         let closed = mine_closed(&series, period, &config).unwrap();
 
         // Direct mining equals filter-based reference.
-        prop_assert_eq!(&closed.closed, &closed_of(&full));
+        assert_eq!(closed.closed, closed_of(&full), "case {case}");
 
         // Lossless recovery: count(P) = max count over closed ⊇ P.
         for fp in &full.frequent {
@@ -117,12 +87,17 @@ proptest! {
                 .filter(|cp| fp.letters.is_subset(&cp.letters))
                 .map(|cp| cp.count)
                 .max();
-            prop_assert_eq!(recovered, Some(fp.count), "pattern {:?}", fp.letters);
+            assert_eq!(
+                recovered,
+                Some(fp.count),
+                "case {case}: pattern {:?}",
+                fp.letters
+            );
         }
 
         // Sandwich: maximal ⊆ closed ⊆ frequent.
-        prop_assert!(closed.closed.len() <= full.len());
-        prop_assert!(full.maximal().len() <= closed.closed.len());
+        assert!(closed.closed.len() <= full.len(), "case {case}");
+        assert!(full.maximal().len() <= closed.closed.len(), "case {case}");
     }
 }
 
