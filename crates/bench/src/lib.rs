@@ -340,12 +340,13 @@ pub fn run_derivation_ablation(lengths: &[usize]) -> Vec<DeriveRow> {
             let spec = SyntheticSpec::figure2(length, 6);
             let data = spec.generate();
             let config = MineConfig::new(spec.recommended_min_conf()).unwrap();
+            let encoded = EncodedSeries::encode(&data.series);
             let (walk, walk_secs) = timed(|| {
-                hitset::mine_with_strategy(&data.series, 50, &config, CountStrategy::TreeWalk)
+                hitset::mine_with_strategy(encoded.view(), 50, &config, CountStrategy::TreeWalk)
                     .unwrap()
             });
             let (linear, linear_secs) = timed(|| {
-                hitset::mine_with_strategy(&data.series, 50, &config, CountStrategy::LinearScan)
+                hitset::mine_with_strategy(encoded.view(), 50, &config, CountStrategy::LinearScan)
                     .unwrap()
             });
             assert_eq!(walk.frequent, linear.frequent);

@@ -101,13 +101,30 @@ impl Parsed {
             .map_err(|_| CliError::Usage(format!("flag --{name}: cannot parse {raw:?}")))
     }
 
-    /// An optional parsed flag with a default.
+    /// An optional parsed flag with a default. The default applies only
+    /// when the flag is absent: a valued flag given without its value
+    /// (`--limit` at the end of the line) is a usage error, never the
+    /// default in disguise.
     pub fn parsed_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
+        match self.flags.get(name) {
+            None => Ok(default),
+            Some(None) => Err(CliError::Usage(format!(
+                "flag --{name} needs a value (--{name} VALUE)"
+            ))),
+            Some(Some(_)) => self.required_parsed(name),
+        }
+    }
+
+    /// A flag whose value is optional (`--sample` or `--sample N`): the
+    /// default applies when the flag is absent or given bare.
+    pub fn optional_value_or<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        default: T,
+    ) -> Result<T, CliError> {
         match self.get(name) {
             None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| CliError::Usage(format!("flag --{name}: cannot parse {raw:?}"))),
+            Some(_) => self.required_parsed(name),
         }
     }
 
@@ -206,6 +223,34 @@ mod tests {
         assert_eq!(p.parsed_or("threads", 1usize).unwrap(), 1);
         let p = Parsed::parse(&argv("mine --threads 8")).unwrap();
         assert_eq!(p.parsed_or("threads", 1usize).unwrap(), 8);
+    }
+
+    #[test]
+    fn a_valued_flag_without_its_value_is_a_usage_error() {
+        for (line, name) in [
+            ("mine --limit", "limit"),
+            ("mine --threads --period 3", "threads"),
+        ] {
+            let p = Parsed::parse(&argv(line)).unwrap();
+            let err = p.parsed_or(name, 20usize).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{line}");
+            assert!(
+                err.to_string().contains(&format!("--{name}")),
+                "{line}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn optional_values_default_when_absent_or_bare() {
+        let p = Parsed::parse(&argv("verify")).unwrap();
+        assert_eq!(p.optional_value_or("sample", 64usize).unwrap(), 64);
+        let p = Parsed::parse(&argv("verify --sample")).unwrap();
+        assert_eq!(p.optional_value_or("sample", 64usize).unwrap(), 64);
+        let p = Parsed::parse(&argv("verify --sample 5 --period 3")).unwrap();
+        assert_eq!(p.optional_value_or("sample", 64usize).unwrap(), 5);
+        let p = Parsed::parse(&argv("verify --sample x")).unwrap();
+        assert!(p.optional_value_or("sample", 64usize).is_err());
     }
 
     #[test]

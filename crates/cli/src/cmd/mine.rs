@@ -1274,6 +1274,31 @@ mod tests {
     }
 
     #[test]
+    fn a_valued_flag_without_its_value_is_a_usage_error() {
+        let text = sample_series_file("txt");
+        let columnar = sample_series_file("ppmc");
+        for (input, tail, flag) in [
+            (&text, "--limit", "limit"),
+            (&text, "--threads --engine vertical", "threads"),
+            // Parsed before the follow loop starts tailing the store.
+            (&columnar, "--follow --follow-poll-ms", "follow-poll-ms"),
+        ] {
+            let err = run_cli(&format!(
+                "mine --input {} --period 3 --min-conf 0.6 {tail}",
+                input.display()
+            ))
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{tail}: {err}");
+            assert!(
+                err.to_string().contains(&format!("--{flag}")),
+                "{tail}: {err}"
+            );
+        }
+        std::fs::remove_file(text).ok();
+        std::fs::remove_file(columnar).ok();
+    }
+
+    #[test]
     fn valueless_metrics_out_is_usage_error() {
         let path = sample_series_file("ppms");
         let err = run_cli(&format!(
@@ -1295,7 +1320,7 @@ mod tests {
             ))
             .unwrap();
             assert!(text.contains("audit: clean"), "{algo}: {text}");
-            assert!(text.contains("cross-check: 7 engines"), "{algo}: {text}");
+            assert!(text.contains("cross-check: 8 engines"), "{algo}: {text}");
         }
         std::fs::remove_file(path).ok();
     }
@@ -1457,7 +1482,7 @@ mod tests {
             path.display()
         ))
         .unwrap();
-        assert!(text.contains("cross-check: 7 engines"), "{text}");
+        assert!(text.contains("cross-check: 8 engines"), "{text}");
         assert!(text.contains("audit: clean"), "{text}");
         std::fs::remove_file(path).ok();
     }
@@ -1582,7 +1607,7 @@ mod tests {
         assert!(text.contains("update 1: +1 segments (31 live"), "{text}");
         assert!(text.contains("re-mined in"), "{text}");
         // Every update is proven bit-identical to a cold mine.
-        assert!(text.contains("cross-check: 7 engines"), "{text}");
+        assert!(text.contains("cross-check: 8 engines"), "{text}");
         assert!(text.contains("audit: clean"), "{text}");
         std::fs::remove_file(path).ok();
     }

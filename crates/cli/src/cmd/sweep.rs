@@ -16,6 +16,7 @@
 use std::io::Write;
 use std::time::Instant;
 
+use ppm_core::hitset::derive::CountStrategy;
 use ppm_core::multi::{
     mine_periods_looping, mine_periods_scheduled, mine_periods_shared_view, MultiPeriodResult,
     PeriodRange,
@@ -489,8 +490,9 @@ fn run_ingest_compare(
 
 /// A vertical-engine sweep: every period is mined columnarly from the
 /// shared bitmap view ([`mine_vertical_view`]) — one encode or one
-/// columnar load for the whole range. With `--compare-tree` each period is
-/// also mined with the hit-set tree walk off the same view and the two
+/// columnar load for the whole range, its derive sharded across
+/// `--threads`. With `--compare-tree` each period is also mined with the
+/// hit-set engine on the paper's tree walk off the same view and the two
 /// frequent sets are diffed — a disagreement is a verification failure,
 /// and a bench report captures both engines' `*.derive` phases for the
 /// speedup line.
@@ -507,14 +509,17 @@ fn run_vertical(
 ) -> Result<SweepOutcome, CliError> {
     let compare = args.switch("compare-tree");
     let compare_kernel = args.switch("compare-kernel");
+    // `--threads` shards each period's derive (default: one thread, as a
+    // plain sweep has always run); the kernel race keeps its own default.
+    let threads: usize = args.parsed_or("threads", 1)?;
     let kernel_threads: usize = args.parsed_or("threads", 4)?;
     let mut rollup = StatsRollup::new();
     let mut rows = Vec::new();
     let mut kernel_compare: Option<KernelCompare> = None;
     for period in range.iter().filter(|&p| p <= view.len()) {
-        let result = Engine::Vertical.mine(view, period, config, 1)?;
+        let result = Engine::Vertical.mine(view, period, config, threads)?;
         if compare {
-            let tree = hitset::mine_view(view, period, config)?;
+            let tree = hitset::mine_with_strategy(view, period, config, CountStrategy::TreeWalk)?;
             if result.frequent != tree.frequent {
                 return Err(CliError::Audit(format!(
                     "vertical and tree-walk derivations disagree at period {period} \
@@ -1167,6 +1172,62 @@ mod tests {
         assert!(race.get("speedup").unwrap().as_f64().is_some());
         std::fs::remove_file(path).ok();
         std::fs::remove_file(report).ok();
+    }
+
+    #[test]
+    fn vertical_sweep_threads_shard_each_period() {
+        use crate::cmd::testutil::temp_path;
+        use ppm_observe::Json;
+        use ppm_timeseries::{FeatureCatalog, SeriesBuilder};
+
+        // 8192 segments of period 4 over 4 busy features: wide enough for
+        // the default shard plan to split a period in two.
+        let mut catalog = FeatureCatalog::new();
+        let feats: Vec<_> = (0..4).map(|f| catalog.intern(&format!("f{f}"))).collect();
+        let mut builder = SeriesBuilder::new();
+        let mut x = 3u64;
+        for _ in 0..8192 * 4 {
+            let mut instant = Vec::new();
+            for &f in &feats {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                if (x >> 33) % 10 < 8 {
+                    instant.push(f);
+                }
+            }
+            builder.push_instant(instant);
+        }
+        let input = temp_path("wide", "ppmc");
+        crate::cmd::save_series(input.to_str().unwrap(), &builder.finish(), &catalog).unwrap();
+        let shards_of = |threads: &str| {
+            let metrics = temp_path("sweep-shards", "json");
+            let text = run_cli(&format!(
+                "sweep --input {} --from 4 --to 4 --min-conf 0.5 --engine vertical{threads} \
+                 --metrics-out {}",
+                input.display(),
+                metrics.display()
+            ))
+            .unwrap();
+            let raw = std::fs::read_to_string(&metrics).unwrap();
+            std::fs::remove_file(metrics).ok();
+            let text: String = text
+                .lines()
+                .filter(|l| !l.contains("metrics written"))
+                .collect();
+            let summary = Json::parse(raw.lines().last().unwrap()).unwrap();
+            let shards = summary
+                .get("gauges")
+                .unwrap()
+                .get("vertical.shards")
+                .and_then(Json::as_u64);
+            (text, shards)
+        };
+        let (sharded, shards) = shards_of(" --threads 2");
+        assert_eq!(shards, Some(2), "{sharded}");
+        // Without --threads a sweep stays single-threaded, same table.
+        let (plain, shards) = shards_of("");
+        assert_eq!(shards, None, "{plain}");
+        assert_eq!(sharded, plain);
+        std::fs::remove_file(input).ok();
     }
 
     #[test]

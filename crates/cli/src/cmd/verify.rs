@@ -36,7 +36,7 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let min_conf: f64 = args.required_parsed("min-conf")?;
     // --sample [N]: recount a deterministic sample instead of every claim.
     let mode = if args.switch("sample") {
-        AuditMode::Sample(args.parsed_or("sample", DEFAULT_SAMPLE)?)
+        AuditMode::Sample(args.optional_value_or("sample", DEFAULT_SAMPLE)?)
     } else {
         AuditMode::Full
     };

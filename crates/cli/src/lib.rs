@@ -235,7 +235,7 @@ vertical with --threads defaulting to 4. mine and sweep mine every input
 as ONE bitmap view (a .ppmc input opens directly as the bitmap rows,
 other formats are encoded once), so each engine prints the same output
 on every format; --compare-tree additionally races each period against the
-tree walk and fails on any disagreement. sweep --workers N mines the
+paper's tree walk and fails on any disagreement. sweep --workers N mines the
 range with a work-stealing scheduler (per-worker deques plus a shared
 injector, idle workers steal periods from peers) off that one shared
 load; with --bench-report the sequential per-period baseline also runs

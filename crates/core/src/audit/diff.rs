@@ -17,6 +17,7 @@ use ppm_timeseries::{
     EncodedSeries, EncodedSeriesView, FeatureCatalog, FeatureSeries, MemorySource,
 };
 
+use crate::hitset::derive::CountStrategy;
 use crate::letters::LetterSet;
 use crate::pattern::Pattern;
 use crate::result::MiningResult;
@@ -201,18 +202,25 @@ fn diff_pair(
     }
 }
 
-/// Runs every [`Engine`] over `view`, plus the forced-scalar,
-/// force-sharded and incremental vertical arms, in comparison order
-/// (index 0, the hit-set engine, is the baseline).
+/// Runs every [`Engine`] over `view`, plus the hit-set engine on the
+/// paper's tree walk and the forced-scalar, force-sharded and incremental
+/// vertical arms, in comparison order (index 0, the hit-set engine, is the
+/// baseline). The tree-walk arm shares no counting kernel with the
+/// default derivation's transpose, so it checks the production counter
+/// against the paper's own.
 fn view_arms(
     view: EncodedSeriesView<'_>,
     period: usize,
     config: &MineConfig,
 ) -> crate::error::Result<Vec<(&'static str, MiningResult)>> {
-    let mut arms = Vec::with_capacity(Engine::ALL.len() + 3);
+    let mut arms = Vec::with_capacity(Engine::ALL.len() + 4);
     for engine in Engine::ALL {
         arms.push((engine.name(), engine.mine(view, period, config, 1)?));
     }
+    arms.push((
+        "hitset-treewalk",
+        crate::hitset::mine_with_strategy(view, period, config, CountStrategy::TreeWalk)?,
+    ));
     let (scalar, sharded) = vertical_kernel_arms(view, period, config)?;
     arms.push(("vertical-scalar", scalar));
     arms.push(("vertical-sharded", sharded));
@@ -250,10 +258,11 @@ fn diff_arms(arms: &[(&'static str, MiningResult)], catalog: &FeatureCatalog) ->
 }
 
 /// Mines `period` of a borrowed bitmap view (a columnar file load or an
-/// [`EncodedSeries`] cache) with every [`Engine`] — the vertical one also
-/// on its forced-scalar kernel, on a force-sharded derive, and on the
-/// segment-at-a-time incremental index — and diffs the results pairwise
-/// against the hit-set baseline.
+/// [`EncodedSeries`] cache) with every [`Engine`] — the hit-set one also on
+/// the paper's tree walk, the vertical one also on its forced-scalar
+/// kernel, on a force-sharded derive, and on the segment-at-a-time
+/// incremental index — and diffs the results pairwise against the hit-set
+/// baseline.
 ///
 /// The miners canonicalize ordering before returning, so equal results
 /// compare equal structurally; any difference in membership or counts
@@ -313,7 +322,7 @@ mod tests {
         let config = MineConfig::new(0.5).unwrap();
         let check = cross_check(&series, 3, &config, &catalog).unwrap();
         assert!(check.agreed(), "{:?}", check.report.violations);
-        assert_eq!(check.algorithms.len(), 7);
+        assert_eq!(check.algorithms.len(), 8);
         assert!(check.compared > 0);
     }
 
@@ -324,7 +333,7 @@ mod tests {
         let config = MineConfig::new(0.5).unwrap();
         let check = cross_check_view(encoded.view(), 3, &config, &catalog).unwrap();
         assert!(check.agreed(), "{:?}", check.report.violations);
-        assert_eq!(check.algorithms.len(), 6);
+        assert_eq!(check.algorithms.len(), 7);
         let series_check = cross_check(&series, 3, &config, &catalog).unwrap();
         assert_eq!(check.compared, series_check.compared);
     }

@@ -19,9 +19,10 @@
 //!   sharing no code with the letter-projection/tree path the miners use.
 //!   Full recount, or a deterministic sample for large results.
 //! * **Cross-algorithm diff** ([`cross_check`], [`cross_check_view`]) —
-//!   mines the same input with every [`crate::Engine`] (plus the vertical
-//!   engine's scalar, sharded and incremental arms, and the streaming
-//!   hit-set miner for series input) and diffs the outputs; the
+//!   mines the same input with every [`crate::Engine`] (plus the hit-set
+//!   engine on the paper's tree walk, the vertical engine's scalar,
+//!   sharded and incremental arms, and the streaming hit-set miner for
+//!   series input) and diffs the outputs; the
 //!   algorithms are proved equivalent, so any disagreement is a bug in
 //!   one of them.
 //!

@@ -7,15 +7,17 @@
 //! of its superpattern hits in the tree — the node's own count plus those
 //! of its *reachable ancestors* in the paper's formulation.
 //!
-//! Three counting strategies are exposed for the ablation study (DESIGN.md
-//! experiment E7):
+//! Three counting strategies are exposed; all three count exactly, so they
+//! return the same frequent sets and the same statistics:
 //!
-//! * [`CountStrategy::TreeWalk`] — the paper's pruned trie traversal;
+//! * [`CountStrategy::Vertical`] (the default) — a columnar transpose of
+//!   the distinct hits (one weighted bitmap per letter, see
+//!   [`crate::vertical`]) counted a whole level at a time by word-wide
+//!   AND + popcount;
+//! * [`CountStrategy::TreeWalk`] — the paper's pruned trie traversal, kept
+//!   as the audit oracle and the ablation arm (DESIGN.md experiment E7);
 //! * [`CountStrategy::LinearScan`] — a flat pass over the distinct hits
-//!   with one bitset subset test each;
-//! * [`CountStrategy::Vertical`] — a columnar transpose of the distinct
-//!   hits (one weighted segment bitmap per letter, see
-//!   [`crate::vertical`]) counted by word-wide AND + popcount.
+//!   with one bitset subset test each.
 
 use crate::apriori::join_candidates;
 use crate::hitset::tree::MaxSubpatternTree;
@@ -30,11 +32,11 @@ use crate::vertical::{Kernel, VerticalIndex};
 pub enum CountStrategy {
     /// Pruned traversal of the trie (paper §4). Skips whole subtrees that
     /// drop a letter of the candidate.
-    #[default]
     TreeWalk,
     /// Flat scan over the nodes with count > 0.
     LinearScan,
     /// Columnar counting over a weighted transpose of the distinct hits.
+    #[default]
     Vertical,
 }
 
@@ -57,19 +59,25 @@ impl CountStrategy {
 /// level-wise from the frequent 1-patterns of `scan1`. Appends to
 /// `frequent` and updates `stats`; returns nothing else — 1-letter patterns
 /// are the caller's responsibility (their exact counts come from scan 1).
+/// `kernel` selects the AND + popcount path of the `Vertical` strategy
+/// (the mine's [`MineConfig::kernel`](crate::MineConfig::kernel)); the
+/// tree strategies ignore it.
 pub fn derive_frequent(
     tree: &MaxSubpatternTree,
     scan1: &Scan1,
     strategy: CountStrategy,
+    kernel: Kernel,
     frequent: &mut Vec<FrequentPattern>,
     stats: &mut MiningStats,
 ) {
     match strategy {
         CountStrategy::Vertical => {
             // Transpose once, then every level is one cache-blocked batch
-            // of AND + popcount on the selected kernel.
+            // of AND + popcount on the selected kernel. The gauges carry
+            // the hit-set layer's name: `vertical.*` is the vertical
+            // engine's segment index, not this transpose.
             let index = VerticalIndex::from_tree(tree);
-            let kernel = Kernel::Auto.resolve();
+            let kernel = kernel.resolve();
             let mut and_ops = 0u64;
             derive_frequent_batched(
                 |sets| index.count_level(sets, kernel, &mut and_ops),
@@ -77,9 +85,9 @@ pub fn derive_frequent(
                 frequent,
                 stats,
             );
-            ppm_observe::gauge("vertical.bitmap_bytes", index.bitmap_bytes() as u64);
-            ppm_observe::gauge("vertical.kernel", kernel.gauge_code());
-            ppm_observe::gauge("vertical.and_ops", and_ops);
+            ppm_observe::gauge("hitset.transpose_bytes", index.bitmap_bytes() as u64);
+            ppm_observe::gauge("hitset.kernel", kernel.gauge_code());
+            ppm_observe::gauge("hitset.and_ops", and_ops);
         }
         _ => derive_frequent_with(|p| strategy.count(tree, p), scan1, frequent, stats),
     }
@@ -190,7 +198,14 @@ mod tests {
         ] {
             let mut frequent = Vec::new();
             let mut stats = MiningStats::default();
-            derive_frequent(&tree, &scan1, strategy, &mut frequent, &mut stats);
+            derive_frequent(
+                &tree,
+                &scan1,
+                strategy,
+                Kernel::Auto,
+                &mut frequent,
+                &mut stats,
+            );
             // {0,1} {0,2} {1,2} {0,1,2}: 4 multi-letter patterns.
             assert_eq!(frequent.len(), 4, "{strategy:?}");
             assert!(frequent.iter().all(|f| f.count == 10));
@@ -214,6 +229,7 @@ mod tests {
             &tree,
             &scan1,
             CountStrategy::TreeWalk,
+            Kernel::Auto,
             &mut frequent,
             &mut stats,
         );
@@ -244,7 +260,14 @@ mod tests {
         let run = |strategy| {
             let mut frequent = Vec::new();
             let mut stats = MiningStats::default();
-            derive_frequent(&tree, &scan1, strategy, &mut frequent, &mut stats);
+            derive_frequent(
+                &tree,
+                &scan1,
+                strategy,
+                Kernel::Auto,
+                &mut frequent,
+                &mut stats,
+            );
             frequent.sort_by_key(|f| f.letters.iter().collect::<Vec<_>>());
             frequent
         };
@@ -266,6 +289,7 @@ mod tests {
             &tree,
             &scan1,
             CountStrategy::TreeWalk,
+            Kernel::Auto,
             &mut frequent,
             &mut stats,
         );

@@ -13,13 +13,19 @@ use crate::scan::{scan_frequent_letters_rows, MineConfig, Scan1};
 use crate::stats::MiningStats;
 
 /// Mines all frequent partial periodic patterns of `period` in `series`
-/// with the max-subpattern hit-set method (paper Algorithm 3.2), using the
-/// default tree-walk counting strategy.
+/// with the max-subpattern hit-set method (paper Algorithm 3.2), counting
+/// the derivation with the default [`CountStrategy`] (the tree's weighted
+/// transpose).
 ///
 /// Exactly **two** scans of the series are performed, independent of the
 /// period and of the length of the longest frequent pattern.
 pub fn mine(series: &FeatureSeries, period: usize, config: &MineConfig) -> Result<MiningResult> {
-    mine_with_strategy(series, period, config, CountStrategy::default())
+    mine_rows(
+        Rows::Series(series),
+        period,
+        config,
+        CountStrategy::default(),
+    )
 }
 
 /// [`mine`] over a borrowed bitmap view (an
@@ -31,18 +37,19 @@ pub fn mine_view(
     period: usize,
     config: &MineConfig,
 ) -> Result<MiningResult> {
-    mine_rows(Rows::View(view), period, config, CountStrategy::default())
+    mine_with_strategy(view, period, config, CountStrategy::default())
 }
 
-/// [`mine`] with an explicit counting strategy (used by the ablation
-/// benches to compare the paper's tree traversal with a flat scan).
+/// [`mine_view`] with an explicit counting strategy: the audit's
+/// tree-walk arm, `sweep --compare-tree` and the ablation runs use it to
+/// run the paper's trie traversal by name.
 pub fn mine_with_strategy(
-    series: &FeatureSeries,
+    view: EncodedSeriesView<'_>,
     period: usize,
     config: &MineConfig,
     strategy: CountStrategy,
 ) -> Result<MiningResult> {
-    mine_rows(Rows::Series(series), period, config, strategy)
+    mine_rows(Rows::View(view), period, config, strategy)
 }
 
 /// Algorithm 3.2 over either row substrate.
@@ -93,7 +100,14 @@ fn mine_rows(
             count,
         })
         .collect();
-    derive_frequent(&tree, &scan1, strategy, &mut frequent, &mut stats);
+    derive_frequent(
+        &tree,
+        &scan1,
+        strategy,
+        config.kernel(),
+        &mut frequent,
+        &mut stats,
+    );
     drop(_derive_span);
 
     let mut result = MiningResult {

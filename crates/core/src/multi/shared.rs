@@ -206,6 +206,7 @@ fn scan2_and_derive(
             &tree,
             &scan1,
             CountStrategy::default(),
+            config.kernel(),
             &mut frequent,
             &mut stats,
         );

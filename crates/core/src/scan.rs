@@ -253,12 +253,152 @@ pub(crate) fn scan_frequent_letters_rows(
     let min_count = config.min_count(m);
 
     let mut counts = CountTable::with_width(period, rows.count_width());
-    for t in 0..m * period {
-        let offset = (t % period) as u32;
-        rows.add_counts(t, offset, &mut counts);
+    match (rows, &mut counts) {
+        (Rows::View(view), CountTable::Dense { counts, width })
+            if bitsliced_fits(period, view.words_per_instant()) =>
+        {
+            count_segments_bitsliced(view, period, m, *width, counts);
+        }
+        _ => {
+            for t in 0..m * period {
+                let offset = (t % period) as u32;
+                rows.add_counts(t, offset, &mut counts);
+            }
+        }
     }
 
     Ok(scan1_from_counts(&counts, period, m, min_count))
+}
+
+/// Bit planes per carry-save counter: each `(offset, word)` slot of a
+/// segment counts up to `2^PLANES − 1` segments before it must flush.
+const PLANES: usize = 8;
+
+/// Segments accumulated between flushes: the largest count 8 planes hold.
+const FLUSH_SEGMENTS: usize = (1 << PLANES) - 1;
+
+/// Words the bit-sliced counter updates per step; a fixed-size chunk is
+/// what lets the compiler turn the plane update into SIMD.
+const SCAN_LANES: usize = 8;
+
+/// Whether the bit-sliced counter's planes (`PLANES` words per word of a
+/// segment) fit the same budget as the dense table; a wider segment keeps
+/// the per-instant loop.
+fn bitsliced_fits(period: usize, words_per_instant: usize) -> bool {
+    period
+        .checked_mul(words_per_instant)
+        .and_then(|seg| seg.checked_mul(PLANES))
+        .is_some_and(|words| words <= DENSE_TABLE_LIMIT)
+}
+
+/// Scan 1 over a bitmap view, bit-sliced: the first `m` whole segments
+/// are walked a segment (`period × words_per_instant` words) at a time,
+/// and each word is added into `PLANES` plane-major carry-save counters —
+/// bit `b` of plane `k` holds bit `k` of the running count of that
+/// `(offset, feature)` pair. The add is branch-free, so it vectorizes
+/// across words; every [`FLUSH_SEGMENTS`] segments (and at the end) the
+/// planes are folded into `counts[offset · width + feature]` and cleared.
+/// Bits past `width` in an instant's last word are not features and are
+/// ignored.
+fn count_segments_bitsliced(
+    view: EncodedSeriesView<'_>,
+    period: usize,
+    m: usize,
+    width: usize,
+    counts: &mut [u64],
+) {
+    let wpi = view.words_per_instant();
+    let seg_words = period * wpi;
+    let mut planes = vec![0u64; PLANES * seg_words];
+    let no_segment = vec![0u64; seg_words];
+    for block in view.words()[..m * seg_words].chunks(FLUSH_SEGMENTS * seg_words) {
+        // Two segments per step: a carry-save add of both into plane 0
+        // halves the ripple through the upper planes.
+        let mut pairs = block.chunks_exact(2 * seg_words);
+        for pair in &mut pairs {
+            let (a, b) = pair.split_at(seg_words);
+            add_segment_pair(&mut planes, a, b);
+        }
+        if !pairs.remainder().is_empty() {
+            add_segment_pair(&mut planes, pairs.remainder(), &no_segment);
+        }
+        flush_planes(&mut planes, wpi, width, counts);
+    }
+}
+
+/// The bitwise sum of three words, as (sum, carry).
+#[inline(always)]
+fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
+    let u = a ^ b;
+    (u ^ c, (a & b) | (u & c))
+}
+
+/// Adds segments `a` and `b` into the plane-major counters, `SCAN_LANES`
+/// words at a time. The caller flushes before any counter can overflow.
+#[inline]
+fn add_segment_pair(planes: &mut [u64], a: &[u64], b: &[u64]) {
+    let seg_words = a.len();
+    let whole = seg_words - seg_words % SCAN_LANES;
+    for base in (0..whole).step_by(SCAN_LANES) {
+        add_pair_lanes::<SCAN_LANES>(planes, a, b, base);
+    }
+    for base in whole..seg_words {
+        add_pair_lanes::<1>(planes, a, b, base);
+    }
+}
+
+/// [`add_segment_pair`] for words `base..base + N`: plane 0 takes a
+/// carry-save add of both segments, and the carry ripples up through
+/// planes 1.. without a branch.
+#[inline(always)]
+fn add_pair_lanes<const N: usize>(planes: &mut [u64], a: &[u64], b: &[u64], base: usize) {
+    let seg_words = a.len();
+    let lanes = base..base + N;
+    let a: &[u64; N] = a[lanes.clone()].try_into().expect("a full lane chunk");
+    let b: &[u64; N] = b[lanes.clone()].try_into().expect("a full lane chunk");
+    let mut carry = [0u64; N];
+    let mut planes = planes.chunks_exact_mut(seg_words);
+    let low: &mut [u64; N] = (&mut planes.next().expect("plane 0")[lanes.clone()])
+        .try_into()
+        .expect("a full lane chunk");
+    for l in 0..N {
+        let (sum, c) = csa(low[l], a[l], b[l]);
+        low[l] = sum;
+        carry[l] = c;
+    }
+    for plane in planes {
+        let plane: &mut [u64; N] = (&mut plane[lanes.clone()])
+            .try_into()
+            .expect("a full lane chunk");
+        for (bits, c) in plane.iter_mut().zip(carry.iter_mut()) {
+            let old = *bits;
+            *bits = old ^ *c;
+            *c &= old;
+        }
+    }
+}
+
+/// Folds every plane into the `(offset, feature)` table — a set bit in
+/// plane `k` adds `2^k` — and clears the planes.
+fn flush_planes(planes: &mut [u64], wpi: usize, width: usize, counts: &mut [u64]) {
+    let seg_words = planes.len() / PLANES;
+    for (k, plane) in planes.chunks_exact_mut(seg_words).enumerate() {
+        for (i, word) in plane.iter_mut().enumerate() {
+            let (offset, w) = (i / wpi, i % wpi);
+            let valid_bits = width - w * 64;
+            let mut bits = if valid_bits < 64 {
+                *word & ((1u64 << valid_bits) - 1)
+            } else {
+                *word
+            };
+            *word = 0;
+            let row = &mut counts[offset * width + w * 64..];
+            while bits != 0 {
+                row[bits.trailing_zeros() as usize] += 1 << k;
+                bits &= bits - 1;
+            }
+        }
+    }
 }
 
 /// Builds a [`Scan1`] from a finished counting table (shared by the

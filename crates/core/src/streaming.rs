@@ -176,6 +176,7 @@ pub fn mine_hitset_streaming(
         &tree,
         &scan1,
         CountStrategy::default(),
+        config.kernel(),
         &mut frequent,
         &mut stats,
     );
@@ -353,6 +354,7 @@ impl ResumableHitsetMiner {
             &self.tree,
             &scan1,
             CountStrategy::default(),
+            self.config.kernel(),
             &mut frequent,
             &mut stats,
         );

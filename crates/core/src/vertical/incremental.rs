@@ -36,8 +36,8 @@
 //! Correctness leans on two invariants. First, AND+popcount is
 //! column-order invariant, so ring rotation never changes a count and
 //! every state is bit-identical to a cold [`super::mine_vertical_view`]
-//! of the same window (the audit cross-check runs this engine as its
-//! seventh arm). Second, counts over disjoint word ranges sum exactly,
+//! of the same window (the audit cross-check runs this engine as one
+//! of its arms). Second, counts over disjoint word ranges sum exactly,
 //! so `new = prev − prev_dirty + live_dirty` needs only a per-word
 //! snapshot of the columns taken lazily at first mutation since the last
 //! derive.

@@ -300,9 +300,18 @@ impl ShardExecutor for ThreadedExecutor {
             while counter.run_next() {}
             return;
         }
+        // Helpers report into the caller's observe context, each drain
+        // under a `vertical.shard_worker` span nested in the caller's
+        // open span, so their share of the derive shows in the trace.
+        let obs = ppm_observe::current();
         std::thread::scope(|scope| {
             for _ in 1..pool {
-                scope.spawn(|| while counter.run_stolen() {});
+                let obs = obs.clone();
+                scope.spawn(move || {
+                    let _attached = ppm_observe::attach(obs);
+                    let _span = ppm_observe::span("vertical.shard_worker");
+                    while counter.run_stolen() {}
+                });
             }
             while counter.run_next() {}
         });

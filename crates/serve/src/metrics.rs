@@ -81,8 +81,8 @@ pub struct ServeMetrics {
     pub scan1_us: AtomicHistogram,
     /// Per-query scan-2 phase time (second series pass).
     pub scan2_us: AtomicHistogram,
-    /// Per-query derive phase time (max-subpattern tree walk / bitmap
-    /// intersection).
+    /// Per-query derive phase time (AND + popcount over the hit set's
+    /// transpose or the segment bitmaps).
     pub derive_us: AtomicHistogram,
     /// Result-cache lookup time per cache-consulting query.
     pub cache_lookup_us: AtomicHistogram,

@@ -46,11 +46,12 @@ fn both_counting_strategies_agree() {
         let series = series(&mut rng);
         let period = rng.random_range(2..7usize);
         let config = MineConfig::new(0.3).unwrap();
-        let walk =
-            hitset::mine_with_strategy(&series, period, &config, CountStrategy::TreeWalk).unwrap();
-        let linear =
-            hitset::mine_with_strategy(&series, period, &config, CountStrategy::LinearScan)
-                .unwrap();
+        let encoded = EncodedSeries::encode(&series);
+        let mine = |strategy| {
+            hitset::mine_with_strategy(encoded.view(), period, &config, strategy).unwrap()
+        };
+        let walk = mine(CountStrategy::TreeWalk);
+        let linear = mine(CountStrategy::LinearScan);
         assert_eq!(walk.frequent, linear.frequent, "case {case}");
     }
 }

@@ -74,7 +74,7 @@ fn every_engine_spelling_mines_identically_on_every_input_format() {
         let audited = mine(&text, " --audit full");
         assert!(audited.starts_with(&from_text), "{engine}: {audited}");
         assert!(
-            audited.contains("cross-check: 7 engines"),
+            audited.contains("cross-check: 8 engines"),
             "{engine}: {audited}"
         );
         assert!(audited.contains("audit: clean"), "{engine}: {audited}");

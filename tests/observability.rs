@@ -121,8 +121,10 @@ fn apriori_levels_match_stats() {
 
 /// A vertical mine sharded over threads reports its shard plan, shard
 /// tasks and segment counter to the caller's collector — the telemetry is
-/// emitted by the coordinating thread, under its `vertical.derive` span —
-/// and mines the same patterns as the hit-set engine.
+/// emitted by the coordinating thread, under its `vertical.derive` span,
+/// and every helper thread's drain is a `vertical.shard_worker` span
+/// nested under that derive span — and mines the same patterns as the
+/// hit-set engine.
 #[test]
 fn sharded_vertical_telemetry_reaches_the_calling_collector() {
     // 8192 segments × 16 letters: wide enough for the default shard plan
@@ -161,6 +163,43 @@ fn sharded_vertical_telemetry_reaches_the_calling_collector() {
         result.segment_count as u64
     );
     assert!(collector.finished_span_names().contains(&"vertical.derive"));
+
+    // Helpers run only where the machine has a second core (the pool is
+    // clamped to the available parallelism); each derivation level that
+    // shards spawns one per extra thread.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let events = collector.events();
+    let derive_ids: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::SpanStart {
+                id,
+                name: "vertical.derive",
+                ..
+            } => Some(*id),
+            _ => None,
+        })
+        .collect();
+    let worker_parents: Vec<Option<u64>> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::SpanStart {
+                parent,
+                name: "vertical.shard_worker",
+                ..
+            } => Some(*parent),
+            _ => None,
+        })
+        .collect();
+    if cores >= 2 {
+        assert!(!worker_parents.is_empty(), "no helper spans: {events:?}");
+    }
+    for parent in worker_parents {
+        assert!(
+            parent.is_some_and(|p| derive_ids.contains(&p)),
+            "helper span outside vertical.derive: {parent:?}"
+        );
+    }
 }
 
 /// A tree-budget abort surfaces as a structured guard event.

@@ -409,7 +409,7 @@ fn auditor_is_clean_on_honest_mines_of_arbitrary_series() {
         assert!(report.is_clean(), "case {case}: {:?}", report.violations);
 
         let check = cross_check(&series, period, &config, &catalog).unwrap();
-        assert_eq!(check.algorithms.len(), 7, "case {case}");
+        assert_eq!(check.algorithms.len(), 8, "case {case}");
         assert!(
             check.agreed(),
             "case {case}: engines disagree: {:?}",
